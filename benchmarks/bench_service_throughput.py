@@ -16,9 +16,10 @@ Two measurements, both on the ZH-EN second-order workload:
   the dispatcher must win on both cold and warm replays.
 * ``test_service_remote_vs_inprocess`` — the PR-4/PR-6 transport row: the
   same replay served by the in-process sharded service vs a
-  process-per-shard cluster (real ``python -m repro.service serve``
-  subprocesses fed a pickled snapshot of the same model) at the same
-  shard count, measured under BOTH wires: the v1 JSON/pooled transport
+  process-per-shard cluster (``ReplicatedLocalCluster`` with one replica
+  per shard: real ``python -m repro.service serve`` subprocesses fed a
+  pickled snapshot of the same model) at the same shard count, measured
+  under BOTH wires: the v1 JSON/pooled transport
   and the v2 binary/multiplexed one.  Results must be bit-identical
   across transports and codecs; the PR-6 acceptance bar is the warm
   binary+mux replay sustaining >= 5x the v1 JSON throughput.
@@ -53,13 +54,12 @@ from repro.service import (
     EXPLAIN,
     ExEAClient,
     ExplanationService,
-    LocalShardCluster,
+    ReplicatedLocalCluster,
     ServiceConfig,
     ShardedExEAClient,
     ShardedExplanationService,
     replay_cluster_concurrently,
     replay_concurrently,
-    replay_remote_concurrently,
 )
 
 ARTIFACT = Path(__file__).parent / "BENCH_service.json"
@@ -305,12 +305,12 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
             ("json", {"wire": "json", "mux": False}),
             ("binary", {"wire": "binary", "mux": True}),
         ):
-            with LocalShardCluster(
-                model, dataset, num_shards=num_shards, service_config=config,
-                exea_config=exea_config, **transport,
+            with ReplicatedLocalCluster(
+                model, dataset, num_shards=num_shards, num_replicas=1,
+                service_config=config, exea_config=exea_config, **transport,
             ) as cluster:
-                cold = replay_remote_concurrently(cluster.client, workload, NUM_CLIENTS)
-                warm = replay_remote_concurrently(cluster.client, workload, NUM_CLIENTS)
+                cold = replay_cluster_concurrently(cluster.client, workload, NUM_CLIENTS)
+                warm = replay_cluster_concurrently(cluster.client, workload, NUM_CLIENTS)
                 explains = cluster.client.explain_many(unique_pairs)
                 confidences = {
                     pair: cluster.client.confidence(*pair) for pair in unique_pairs
@@ -402,7 +402,6 @@ def test_service_cluster_failover(benchmark, dataset_cache, model_cache, bench_s
     import threading
 
     from repro.datasets import shard_workload
-    from repro.service import ReplicatedLocalCluster, ShardedExEAClient
 
     dataset = dataset_cache("ZH-EN")
     model = model_cache("Dual-AMN", "ZH-EN")

@@ -31,22 +31,21 @@ ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
   slow-request log, and the :func:`prometheus_text` exporter.
 * :mod:`~repro.service.transport` — the process boundary:
   :class:`ShardServer` hosts one shard group per server process and
-  :class:`RemoteShardedClient` speaks the same client facade to a
-  cluster of them over length-prefixed JSON frames
-  (:class:`LocalShardCluster` spawns such a cluster locally).
+  :class:`RemoteShardClient` talks to one of them over length-prefixed
+  frames.
 * :mod:`~repro.service.cluster` — the control plane over that transport:
   a declarative :class:`ClusterTopology` (shard → replica endpoints +
   weights), :class:`ClusterManager` health checking with a
   consecutive-miss failure detector publishing a versioned routing
-  table, and :class:`ClusterClient` routing reads to healthy replicas by
-  load score with idempotent failover retry
-  (:class:`ReplicatedLocalCluster` spawns R replicas per shard locally).
+  table, and :class:`ClusterClient` — the one remote client facade —
+  routing reads to healthy replicas by load score with idempotent
+  failover retry (:class:`ReplicatedLocalCluster` spawns R replicas per
+  shard locally; R = 1 is the plain process-per-shard cluster).
 
 ``python -m repro.service`` serves a scripted traffic replay against a
 registry dataset end to end (``--shards N`` fans the pipeline out);
-``python -m repro.service serve`` / ``connect`` / ``cluster`` run the
-remote transport and the replicated control plane (see
-``docs/OPERATIONS.md``).
+``python -m repro.service serve`` / ``cluster`` run the shard servers
+and replay against them (see ``docs/OPERATIONS.md``).
 """
 
 from .batching import MicroBatcher, RequestQueue, ServiceRequest
@@ -101,13 +100,10 @@ from .transport import (
     WIRE_AUTO,
     WIRE_BINARY,
     WIRE_JSON,
-    LocalShardCluster,
     MuxConnection,
     RemoteShardClient,
-    RemoteShardedClient,
     ShardServer,
     default_wire,
-    replay_remote_concurrently,
 )
 from .worker import MicroBatchWorkerPool, WorkerPool
 
@@ -121,7 +117,6 @@ __all__ = [
     "EXPLAIN",
     "ExEAClient",
     "ExplanationService",
-    "LocalShardCluster",
     "MicroBatchWorkerPool",
     "MicroBatcher",
     "MutationSpec",
@@ -130,7 +125,6 @@ __all__ = [
     "RemoteOperationError",
     "ReplicaBehindError",
     "RemoteShardClient",
-    "RemoteShardedClient",
     "RemoteTransportError",
     "ReplicaSpec",
     "ReplicatedLocalCluster",
@@ -170,6 +164,5 @@ __all__ = [
     "prometheus_text",
     "replay_cluster_concurrently",
     "replay_concurrently",
-    "replay_remote_concurrently",
     "stitch_trace",
 ]

@@ -1,9 +1,9 @@
 """Cluster control plane: replicated shards, health-checked failover, load-aware routing.
 
-PR 4's transport put each shard group in its own process but left the
-topology a static, ordered endpoint list: one dead process takes its pair
-partition offline and routing ignores load entirely.  This package adds
-the fleet-operation layer in front of that transport:
+The transport puts each shard group in its own server process; this
+package is the fleet-operation layer every remote read goes through —
+from a one-server-per-shard fleet (one replica each) to a replicated,
+zone-labelled one:
 
 * :mod:`~repro.service.cluster.topology` — the declarative topology
   document (JSON/TOML): shard → ordered replica endpoints + weights,
@@ -28,10 +28,11 @@ the fleet-operation layer in front of that transport:
 * :mod:`~repro.service.cluster.local` — :class:`ReplicatedLocalCluster`,
   spawning R real server subprocesses per shard from one pickled
   snapshot (tests, benchmarks, the experiment runner's
-  ``transport="cluster"``).
+  ``transport="cluster"``); R = 1 is the plain process-per-shard cluster.
 
-``python -m repro.service cluster --topology cluster.json`` replays
-traffic against a running cluster; see ``docs/OPERATIONS.md`` ("Running a
+``python -m repro.service cluster --topology cluster.json`` (or
+``--endpoints`` for one server per shard) replays traffic against a
+running cluster; see ``docs/OPERATIONS.md`` ("Running a
 cluster") for the topology schema and failover semantics.
 """
 

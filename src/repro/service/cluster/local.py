@@ -1,16 +1,19 @@
-"""Spawn a replicated local cluster: R real server processes per shard.
+"""Spawn a local cluster: R real server processes per shard.
 
-:class:`ReplicatedLocalCluster` extends
-:class:`~repro.service.transport.cluster.LocalShardCluster` with a
-replica axis: every shard group is served by *num_replicas* independent
-``python -m repro.service serve`` subprocesses, all deserialising the
-same pickled snapshot (so every replica of every shard serves identical
-model bytes and the failover path is bit-identical by construction).
-The spawned endpoints become a
+:class:`ReplicatedLocalCluster` is the process-per-shard deployment in a
+box.  It pickles the fitted model + dataset (plus the service/ExEA
+configs) into a snapshot file, spawns *num_replicas* independent
+``python -m repro.service serve`` subprocesses per shard group against
+that snapshot, and waits for each server's ``READY`` line to learn its
+ephemeral port.  Every replica of every shard deserialises the same
+model bytes, so remote results — and the failover path — are
+bit-identical to in-process results by construction.  The spawned
+endpoints become a
 :class:`~repro.service.cluster.topology.ClusterTopology`, a
 :class:`~repro.service.cluster.manager.ClusterManager` health-checks
 them, and :attr:`client` is a connected
-:class:`~repro.service.cluster.client.ClusterClient`.
+:class:`~repro.service.cluster.client.ClusterClient`.  With
+``num_replicas=1`` this is the plain one-process-per-shard cluster.
 
 The fleet-autonomy knobs pass straight through to the manager:
 *lease_ttl* arms the lease-based liveness check, *weights* /
@@ -31,31 +34,30 @@ topology file instead (see ``docs/OPERATIONS.md``, "Running a cluster").
 
 from __future__ import annotations
 
+import shutil
 import signal
 import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 from ..config import ServiceConfig
 from ..transport.cluster import (
     DEFAULT_STARTUP_TIMEOUT,
-    LocalShardCluster,
     ShardProcess,
     _read_ready_line,
     _subprocess_env,
+    write_snapshot,
 )
 from .client import ClusterClient
-from .manager import (
-    DEFAULT_LEASE_STALL_CYCLES,
-    DEFAULT_MISS_THRESHOLD,
-    DEFAULT_PROBE_INTERVAL,
-    DEFAULT_STATS_EVERY,
-    ClusterManager,
-)
+from .manager import DEFAULT_PROBE_INTERVAL, DEFAULT_STATS_EVERY, ClusterManager
 from .rebalance import RebalanceConfig
 from .topology import ClusterTopology, topology_for_endpoints
 from .weights import WeightConfig
 
 
-class ReplicatedLocalCluster(LocalShardCluster):
+class ReplicatedLocalCluster:
     """A replicated process-per-shard cluster on this machine.
 
     Use as a context manager::
@@ -64,8 +66,8 @@ class ReplicatedLocalCluster(LocalShardCluster):
             explanation = cluster.client.explain(source, target)
             cluster.kill_replica(shard_id=0, replica_index=1)  # reads keep succeeding
 
-    ``replicas[k][r]`` is replica *r* of shard *k* (``processes`` stays
-    the flat shard-major list the base class tears down).
+    ``replicas[k][r]`` is replica *r* of shard *k*; ``processes`` is the
+    same processes as one flat shard-major list.
     """
 
     def __init__(
@@ -76,49 +78,88 @@ class ReplicatedLocalCluster(LocalShardCluster):
         num_replicas: int = 2,
         service_config: ServiceConfig | None = None,
         exea_config=None,
-        startup_timeout: float = DEFAULT_STARTUP_TIMEOUT,
-        client_timeout: float = 60.0,
         probe_interval: float = DEFAULT_PROBE_INTERVAL,
-        miss_threshold: int = DEFAULT_MISS_THRESHOLD,
         wire: str | None = None,
         mux: bool | None = None,
-        server_wire: str | None = None,
         probe_timeout: float = 5.0,
         stats_every: int = DEFAULT_STATS_EVERY,
         lease_ttl: float | None = None,
-        lease_stall_cycles: int = DEFAULT_LEASE_STALL_CYCLES,
         weights: WeightConfig | None = None,
         rebalance: RebalanceConfig | None = None,
         replica_zones: list[str] | None = None,
     ) -> None:
-        super().__init__(
-            model,
-            dataset,
-            num_shards,
-            service_config=service_config,
-            exea_config=exea_config,
-            startup_timeout=startup_timeout,
-            client_timeout=client_timeout,
-            wire=wire,
-            mux=mux,
-            server_wire=server_wire,
-        )
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
+        self.model = model
+        self.dataset = dataset
+        self.num_shards = num_shards
         self.num_replicas = num_replicas
+        self.service_config = service_config or ServiceConfig()
+        self.exea_config = exea_config
+        #: client codec/transport preference (None = negotiate / env default)
+        self.wire = wire
+        self.mux = mux
         self.probe_interval = probe_interval
-        self.miss_threshold = miss_threshold
         self.probe_timeout = probe_timeout
         self.stats_every = stats_every
         self.lease_ttl = lease_ttl
-        self.lease_stall_cycles = lease_stall_cycles
         self.weights = weights
         self.rebalance = rebalance
         self.replica_zones = list(replica_zones) if replica_zones is not None else None
+        self.processes: list[ShardProcess] = []
         self.replicas: list[list[ShardProcess]] = []
         self.topology: ClusterTopology | None = None
         self.manager: ClusterManager | None = None
         self.client: ClusterClient | None = None
+        self._workdir: Path | None = None
+
+    # ------------------------------------------------------------------
+    def _write_snapshot(self) -> Path:
+        """Create the working directory and pickle the serving snapshot into it."""
+        self._workdir = Path(tempfile.mkdtemp(prefix="repro-shard-cluster-"))
+        return write_snapshot(
+            self._workdir / "snapshot.pkl",
+            self.model,
+            self.dataset,
+            # Each process hosts exactly one shard group, so the config it
+            # serves under says so — a num_shards left at the cluster size
+            # would misdescribe the in-process topology to anything that
+            # reads it inside the shard.
+            service_config=replace(self.service_config, num_shards=1),
+            exea_config=self.exea_config,
+        )
+
+    def _spawn_serve(self, snapshot: Path, shard_id: int, env: dict) -> subprocess.Popen:
+        """Spawn one ``python -m repro.service serve`` subprocess for *shard_id*."""
+        command = [
+            sys.executable,
+            "-m",
+            "repro.service",
+            "serve",
+            "--snapshot",
+            str(snapshot),
+            "--shard-id",
+            str(shard_id),
+            "--num-shards",
+            str(self.num_shards),
+            "--listen",
+            "127.0.0.1:0",
+        ]
+        return subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
+
+    @staticmethod
+    def _reap_untracked(spawned: list[subprocess.Popen], tracked_pids: set[int]) -> None:
+        """Kill and reap spawned processes that never reached bookkeeping."""
+        for process in spawned:
+            if process.pid in tracked_pids:
+                continue
+            if process.poll() is None:
+                process.kill()
+            process.wait(timeout=30)  # reap: no zombies from failed startups
+            if process.stdout is not None:
+                process.stdout.close()
 
     # ------------------------------------------------------------------
     def start(self) -> "ReplicatedLocalCluster":
@@ -136,7 +177,7 @@ class ReplicatedLocalCluster(LocalShardCluster):
                     spawned.append((shard_id, self._spawn_serve(snapshot, shard_id, env)))
             self.replicas = [[] for _ in range(self.num_shards)]
             for shard_id, process in spawned:
-                ready = _read_ready_line(process, self.startup_timeout)
+                ready = _read_ready_line(process, DEFAULT_STARTUP_TIMEOUT)
                 shard = ShardProcess(shard_id, process, ready)
                 self.replicas[shard_id].append(shard)
                 self.processes.append(shard)
@@ -147,24 +188,16 @@ class ReplicatedLocalCluster(LocalShardCluster):
             self.manager = ClusterManager(
                 self.topology,
                 probe_interval=self.probe_interval,
-                miss_threshold=self.miss_threshold,
                 probe_timeout=self.probe_timeout,
                 stats_every=self.stats_every,
                 lease_ttl=self.lease_ttl,
-                lease_stall_cycles=self.lease_stall_cycles,
                 weights=self.weights,
                 rebalance=self.rebalance,
             )
             self.client = ClusterClient(
-                self.topology,
-                manager=self.manager,
-                timeout=self.client_timeout,
-                wire=self.wire,
-                mux=self.mux,
+                self.topology, manager=self.manager, wire=self.wire, mux=self.mux
             )
         except BaseException:
-            if self.manager is not None and self.client is None:
-                self.manager.stop()  # the client would have owned stopping it
             self._reap_untracked(
                 [process for _, process in spawned],
                 {shard.process.pid for shard in self.processes},
@@ -198,25 +231,42 @@ class ReplicatedLocalCluster(LocalShardCluster):
         self.replicas[shard_id][replica_index].process.send_signal(signal.SIGCONT)
 
     def close(self) -> None:
-        """Shut down the client (which stops the manager), processes, snapshot."""
+        """Shut down the client, the manager, the processes and the snapshot dir."""
         # A SIGSTOP'd replica would ignore SIGTERM until resumed and make
         # teardown wait out the kill escalation; resume everything first.
-        for group in self.replicas:
-            for replica in group:
-                if replica.process.poll() is None:
-                    try:
-                        replica.process.send_signal(signal.SIGCONT)
-                    except OSError:
-                        pass  # already reaped
+        for replica in self.processes:
+            if replica.process.poll() is None:
+                try:
+                    replica.process.send_signal(signal.SIGCONT)
+                except OSError:
+                    pass  # already reaped
+        if self.client is not None:
+            try:
+                self.client.shutdown_servers()
+            except Exception:
+                pass
+            self.client.close()
+            self.client = None
         # ClusterClient owns its manager only when it constructed one; here
         # the cluster built the manager, so the client's close() leaves it
         # running — stop it explicitly after the client goes away.
-        manager, self.manager = self.manager, None
-        super().close()
-        if manager is not None:
-            manager.stop()
+        if self.manager is not None:
+            self.manager.stop()
+            self.manager = None
+        for replica in self.processes:
+            replica.terminate()
+        self.processes = []
         self.replicas = []
         self.topology = None
+        if self._workdir is not None:
+            shutil.rmtree(self._workdir, ignore_errors=True)
+            self._workdir = None
+
+    def __enter__(self) -> "ReplicatedLocalCluster":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 __all__ = ["ReplicatedLocalCluster"]

@@ -1,7 +1,8 @@
 """The fleet doctor: one ranked diagnosis out of every telemetry plane.
 
-``python -m repro.service doctor`` scrapes a fleet (endpoints or
-topology) exactly like the ``metrics`` subcommand, then runs
+``python -m repro.service doctor`` scrapes a fleet (``--endpoints`` or
+``--topology``, both through a cluster client) exactly like the
+``metrics`` subcommand, then runs
 :func:`diagnose` over the stats snapshot: SLO evaluations, alert state,
 routing/fleet snapshots, queue depths, per-replica latency and wire
 telemetry are condensed into an ordered list of findings — most severe
@@ -42,33 +43,16 @@ def _median(values: list[float]) -> float:
 
 
 def _replica_rows(stats: Mapping) -> list[dict]:
-    """Per-replica rows with endpoint/shard/latency/queue, from either shape.
+    """Per-replica rows (endpoint, shard, health, lease, probed p95/queue).
 
-    The cluster snapshot carries ``routing.replicas`` (endpoint, health,
-    lease, probed p95/queue); the plain remote snapshot only has
-    ``per_shard`` derived rows, which become one pseudo-replica per
-    shard so the same checks still name the offender.
+    Read from the ``routing.replicas`` section every
+    :meth:`~repro.service.cluster.client.ClusterClient.stats_snapshot`
+    carries.
     """
     routing = stats.get("routing")
     if isinstance(routing, Mapping) and isinstance(routing.get("replicas"), list):
         return [row for row in routing["replicas"] if isinstance(row, Mapping)]
-    rows = []
-    per_shard = stats.get("per_shard")
-    if isinstance(per_shard, list):
-        for index, snapshot in enumerate(per_shard):
-            if isinstance(snapshot, Mapping):
-                rows.append(
-                    {
-                        "endpoint": f"shard[{index}]",
-                        "shard": index,
-                        "replica": 0,
-                        "healthy": True,
-                        "lease_ok": True,
-                        "queue_depth": 0,
-                        "p95_ms": snapshot.get("p95_ms", 0.0),
-                    }
-                )
-    return rows
+    return []
 
 
 def diagnose(
@@ -78,7 +62,7 @@ def diagnose(
 ) -> dict:
     """Rank one stats snapshot into ``{"health", "findings", "summary"}``.
 
-    *stats* is a ``stats_snapshot()`` shape (remote or cluster);
+    *stats* is a :meth:`ClusterClient.stats_snapshot` shape;
     *evaluations* is :meth:`SLOEngine.evaluate` output and *firing* the
     alerter's active set — both default to whatever the snapshot's own
     ``"slo"`` section carries, so a scrape of an SLO-configured cluster

@@ -1,19 +1,9 @@
-"""Shared base of the remote and cluster client facades.
+"""Error predicates shared by the per-endpoint client and the cluster client.
 
-:class:`~repro.service.transport.client.RemoteShardedClient` (one
-endpoint per shard) and
-:class:`~repro.service.cluster.client.ClusterClient` (replicated
-endpoints with failover) speak the same `ExEAClient` call surface and,
-before this module existed, each carried its own copy of the CRC-32
-scatter, the batch chunking/decoding, and the peer-identity checks —
-three pieces that must stay byte-for-byte in agreement for the
-bit-identical remote contract to hold.  :class:`ShardedClientFacade`
-owns them once; a concrete client only supplies :meth:`_call_shard`,
-which is exactly where the two differ (a fixed endpoint's pooled/mux
-client vs. a load-scored failover loop over replicas).
-
-The error-classification predicates live here too, because both retry
-policies are built from the same two questions:
+:class:`~repro.service.transport.client.RemoteShardClient` (one
+endpoint) and :class:`~repro.service.cluster.client.ClusterClient`
+(replicated endpoints with failover) build their retry policies from the
+same two questions:
 
 * :func:`is_stale_symptom` — does this failure look like a socket that
   went stale *between* requests (EOF, reset, errno)?  Safe to retry once
@@ -28,33 +18,10 @@ policies are built from the same two questions:
 
 from __future__ import annotations
 
-import random
-import threading
-import time
-from typing import Callable
-
-from ...datasets import shard_workload
-from ..errors import RemoteTransportError
-from ..observability.context import TraceContext, new_trace
-from ..observability.spans import Span, SpanRecorder, stitch_trace
-from ..observability.tailsample import TailSampler
-from ..service import _fan_out
-from ..sharding import ShardRouter
 from .framing import ConnectionClosedError, FrameTimeoutError, ProtocolError
-from .protocol import (
-    OP_BATCH,
-    OP_CONFIDENCE,
-    OP_EXPLAIN,
-    OP_VERIFY,
-    PROTOCOL_VERSION,
-    decode_error,
-    decode_value,
-)
 
 #: Default per-request socket timeout (seconds).
 DEFAULT_TIMEOUT = 60.0
-#: Items per ``batch`` frame in ``explain_many`` / ``replay`` exchanges.
-BATCH_CHUNK_SIZE = 256
 
 
 def is_stale_symptom(error: BaseException) -> bool:
@@ -81,373 +48,8 @@ def is_request_shaped(error: BaseException) -> bool:
     return isinstance(error, ProtocolError) and not isinstance(error, ConnectionClosedError)
 
 
-def verify_peer_identity(
-    info: dict, endpoint: str, expected_shard: int, num_shards: int
-) -> None:
-    """Check one ping payload against the topology slot it answers for.
-
-    Raises :class:`RemoteTransportError` when the peer speaks a different
-    protocol revision or identifies as a different shard — a miswired
-    cluster must refuse to connect, not silently serve wrong partitions.
-    """
-    if info.get("protocol") != PROTOCOL_VERSION:
-        raise RemoteTransportError(
-            f"{endpoint} speaks protocol {info.get('protocol')}, "
-            f"this client speaks {PROTOCOL_VERSION}"
-        )
-    if info.get("shard_id") != expected_shard or info.get("num_shards") != num_shards:
-        raise RemoteTransportError(
-            f"{endpoint} identifies as shard {info.get('shard_id')}/{info.get('num_shards')}, "
-            f"expected {expected_shard}/{num_shards} — cluster is miswired"
-        )
-
-
-def verify_served_identity(
-    first: dict, first_endpoint: str, info: dict, endpoint: str, scope: str = "shards"
-) -> None:
-    """Check two ping payloads agree on *what* they serve.
-
-    Every peer must report the same dataset, model and generation token;
-    peers started against divergent snapshots would connect cleanly and
-    silently serve mixed results.  *scope* names the peer kind in the
-    error ("shards" or "replicas").
-    """
-    for key in ("dataset", "model", "token"):
-        if info.get(key) != first.get(key):
-            raise RemoteTransportError(
-                f"{endpoint} serves {key}={info.get(key)!r} but "
-                f"{first_endpoint} serves {first.get(key)!r} — cluster "
-                f"{scope} disagree on what they serve (miswired)"
-            )
-
-
-class ShardedClientFacade:
-    """The `ExEAClient` surface over any shard-addressed transport.
-
-    Subclasses construct their endpoints, then call ``super().__init__``
-    with the shard count and implement :meth:`_call_shard`; routing,
-    batching, scatter/gather and result decoding are inherited.
-    """
-
-    def __init__(
-        self,
-        num_shards: int,
-        trace_buffer: int = 512,
-        trace_sample_rate: float = 1.0,
-        sample_seed: int | None = None,
-        tail_sampler: TailSampler | None = None,
-    ) -> None:
-        self.router = ShardRouter(num_shards)
-        #: client-side span ring: ``client_send`` envelopes and (for the
-        #: cluster client) ``retry`` spans of traced failovers
-        self.tracer = SpanRecorder(trace_buffer)
-        if not 0.0 <= trace_sample_rate <= 1.0:
-            raise ValueError("trace_sample_rate must be within [0, 1]")
-        #: head-based sampling rate for :meth:`traced` — the keep/drop
-        #: decision is made once here at the root and rides with the
-        #: context, so a trace is recorded everywhere or nowhere
-        self.trace_sample_rate = trace_sample_rate
-        self._sample_random = random.Random(sample_seed)
-        #: tail-based sampling: when set, it replaces the head-based
-        #: rate for :meth:`traced` — the sampler's fraction of requests
-        #: is traced as *pending* and kept only when slow / errored /
-        #: retried (or on the baseline rotation); kept traces are pinned
-        #: locally and on every serving process via the ``trace`` op's
-        #: ``pin`` flag.  Never affects request results.
-        self.tail_sampler = tail_sampler
-        #: trace ids that failed over at least once, noted by the
-        #: concrete client's retry path — an O(1) lookup for the tail
-        #: sampler's "retried" keep reason (scanning the span ring per
-        #: completion would cost O(ring) on every fast request)
-        self._retried_traces: dict[str, bool] = {}
-        self._retried_lock = threading.Lock()
-
-    def _sample(self) -> bool:
-        """One head-based sampling decision (1.0 and 0.0 skip the RNG)."""
-        if self.trace_sample_rate >= 1.0:
-            return True
-        if self.trace_sample_rate <= 0.0:
-            return False
-        return self._sample_random.random() < self.trace_sample_rate
-
-    # -- the one transport hook ----------------------------------------
-    def _call_shard(
-        self,
-        shard_id: int,
-        payload: dict,
-        timeout: float | None,
-        reject: "Callable[[dict], Exception | None] | None" = None,
-    ) -> dict:
-        """One request to shard *shard_id*; returns the decoded response.
-
-        Implementations raise decoded service errors, apply their own
-        retry/failover policy, and honour *reject* (which may turn a
-        structurally-OK response into a retriable error).
-        """
-        raise NotImplementedError
-
-    def _shard_label(self, shard_id: int) -> str:
-        """How error messages name one shard's serving side."""
-        return f"shard {shard_id}"
-
-    def _batch_reject(self) -> "Callable[[dict], Exception | None] | None":
-        """The *reject* hook batch exchanges pass to :meth:`_call_shard`."""
-        return None
-
-    # -- routing -------------------------------------------------------
-    def shard_of(self, source: str, target: str) -> int:
-        """Which shard serves this pair (same CRC-32 partition as in-process)."""
-        return self.router.shard_of(source, target)
-
-    # -- single-pair operations (the ExEAClient surface) ---------------
-    def _single(self, op, source, target, timeout, deadline_ms, trace=None):
-        payload = {"op": op, "source": source, "target": target}
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        if trace is not None:
-            payload["trace"] = trace
-        # self.shard_of, not router.shard_of: the cluster client overrides
-        # it with slot-table routing (live migrations move pairs between
-        # shard groups without touching this code path)
-        shard_id = self.shard_of(source, target)
-        return decode_value(op, self._call_shard(shard_id, payload, timeout))
-
-    # -- tracing -------------------------------------------------------
-    def traced(
-        self, kind: str, source: str, target: str, timeout: float | None = None
-    ) -> "tuple[object, TraceContext]":
-        """Run one traced remote operation; returns ``(result, trace_context)``.
-
-        Mints a root :class:`TraceContext` and sends it with the request
-        (each transport negotiates whether its peer understands the
-        field); the serving process records its stage spans under the
-        trace, and the enveloping ``client_send`` span — request out to
-        result in, wire time included — lands in this client's own ring.
-        Feed the context's ``trace_id`` to :meth:`trace_timeline`.
-
-        Head-based sampling (``trace_sample_rate``) decides keep/drop
-        here at the root: an unsampled request is sent *without* a trace
-        context (no wire bytes, no server spans, no client span) and
-        returns a context whose ``sampled`` flag is false, so callers can
-        tell an empty timeline from a dropped one.
-
-        With a :class:`TailSampler` attached the decision moves to
-        completion: the sampler's fraction of requests is traced as
-        pending, then kept (pinned fleet-wide) only when the request
-        turned out slow, errored, or failed over — plus the configured
-        baseline fraction of fast clean ones.
-        """
-        sampler = self.tail_sampler
-        sampled = sampler.begin() if sampler is not None else self._sample()
-        trace = new_trace(sampled=sampled)
-        started = time.perf_counter()
-        try:
-            value = self._single(
-                kind, source, target, timeout, None, trace=trace if trace.sampled else None
-            )
-        except BaseException:
-            if trace.sampled:
-                self.tracer.add(
-                    "client_send",
-                    trace,
-                    time.perf_counter() - started,
-                    attrs={"kind": kind, "source": source, "target": target, "error": True},
-                )
-                if sampler is not None:
-                    self._tail_complete(
-                        sampler, trace, (time.perf_counter() - started) * 1000.0, errored=True
-                    )
-            raise
-        elapsed = time.perf_counter() - started
-        if trace.sampled:
-            self.tracer.add(
-                "client_send",
-                trace,
-                elapsed,
-                attrs={"kind": kind, "source": source, "target": target},
-            )
-            if sampler is not None:
-                self._tail_complete(sampler, trace, elapsed * 1000.0, errored=False)
-        return value, trace
-
-    def _note_retried(self, trace_id: str) -> None:
-        """Record that *trace_id* failed over (a tail-sampling keep reason)."""
-        with self._retried_lock:
-            retried = self._retried_traces
-            retried[trace_id] = True
-            while len(retried) > 1024:
-                del retried[next(iter(retried))]
-
-    def _tail_complete(
-        self,
-        sampler: TailSampler,
-        trace: TraceContext,
-        latency_ms: float,
-        errored: bool,
-    ) -> None:
-        """Keep-or-drop one completed pending trace (tail sampling).
-
-        Dropped traces are NOT purged from the ring eagerly — the ring is
-        the pending buffer and eviction recycles them for free, whereas a
-        per-request O(ring) rebuild would dominate fast requests.
-        """
-        with self._retried_lock:
-            retried = self._retried_traces.pop(trace.trace_id, False)
-        decision = sampler.complete(
-            trace.trace_id, latency_ms, errored=errored, retried=retried
-        )
-        if decision.keep:
-            self.tracer.pin(trace.trace_id)
-            self.pin_trace(trace.trace_id)
-
-    def pin_trace(self, trace_id: str) -> None:
-        """Ask every serving process to pin *trace_id* against ring eviction.
-
-        Subclasses fan the ``trace`` wire op out with ``pin: true``;
-        peers that predate pinning treat it as a plain trace pull (the
-        unknown key is ignored), so a kept trace is merely best-effort
-        on a mixed-version fleet.  The base class is a no-op so local
-        facades without a remote side still work.
-        """
-
-    def trace_spans(self, trace_id: str | None = None) -> "list[Span]":
-        """Spans pulled from every serving process (the ``trace`` wire op).
-
-        Subclasses implement the fan-out (per shard, or per replica for
-        the cluster client); peers that predate tracing contribute no
-        spans rather than failing the pull.
-        """
-        raise NotImplementedError
-
-    def trace_timeline(self, trace_id: str) -> dict:
-        """Stitched fleet-wide timeline of one trace.
-
-        Combines this client's own spans (``client_send``, failover
-        ``retry``) with every serving process's spans for *trace_id* into
-        one ordered, per-stage-summed view — the "where did this
-        request's time go" answer.
-        """
-        spans = self.tracer.spans(trace_id) + self.trace_spans(trace_id)
-        return stitch_trace(spans, trace_id)
-
-    def explain(
-        self, source: str, target: str, timeout: float | None = None, deadline_ms: float | None = None
-    ):
-        """Remote ``explain`` — equal to the in-process explanation object."""
-        return self._single(OP_EXPLAIN, source, target, timeout, deadline_ms)
-
-    def confidence(
-        self, source: str, target: str, timeout: float | None = None, deadline_ms: float | None = None
-    ) -> float:
-        """Remote repair-confidence — the exact in-process float."""
-        return self._single(OP_CONFIDENCE, source, target, timeout, deadline_ms)
-
-    def verify(
-        self, source: str, target: str, timeout: float | None = None, deadline_ms: float | None = None
-    ) -> bool:
-        """Remote EA verification (confidence thresholded server-side)."""
-        return self._single(OP_VERIFY, source, target, timeout, deadline_ms)
-
-    # -- bulk operations -----------------------------------------------
-    def _run_batch(
-        self, shard_id: int, items: list[tuple[str, str, str]], timeout: float | None
-    ) -> list:
-        """One shard's items in chunked ``batch`` frames; decode in order.
-
-        A per-item error is re-raised (the in-process facade raises on
-        ``future.result()`` the same way); a mis-sized reply is a
-        protocol violation, because ``zip()`` would silently truncate a
-        short reply into ``None`` results.
-        """
-        values: list = []
-        reject = self._batch_reject()
-        for start in range(0, len(items), BATCH_CHUNK_SIZE):
-            chunk = items[start : start + BATCH_CHUNK_SIZE]
-            response = self._call_shard(
-                shard_id,
-                {"op": OP_BATCH, "items": [list(item) for item in chunk]},
-                timeout,
-                reject=reject,
-            )
-            slots = response.get("results")
-            if not isinstance(slots, list) or len(slots) != len(chunk):
-                raise ProtocolError(
-                    f"{self._shard_label(shard_id)} answered {len(chunk)} batch items with "
-                    f"{len(slots) if isinstance(slots, list) else 'no'} results"
-                )
-            for (kind, _, _), slot in zip(chunk, slots):
-                if "error" in slot:
-                    raise decode_error(slot["error"])
-                values.append(decode_value(kind, slot["ok"]))
-        return values
-
-    def explain_many(
-        self, pairs: list[tuple[str, str]], timeout: float | None = None
-    ) -> dict[tuple[str, str], object]:
-        """Explain every distinct pair; one concurrent batch exchange per shard."""
-        unique = list(dict.fromkeys(pairs))
-        items = [(OP_EXPLAIN, source, target) for source, target in unique]
-        return dict(zip(unique, self._scatter(items, timeout)))
-
-    def replay(
-        self, workload: list[tuple[str, str, str]], timeout: float | None = None
-    ) -> list[object]:
-        """Run a scripted ``(kind, source, target)`` replay; results in order.
-
-        The workload is partitioned by shard and shipped as ``batch``
-        frames (one in-flight exchange per shard, concurrently), then the
-        per-shard results are stitched back into submission order.
-        """
-        return self._scatter(list(workload), timeout)
-
-    def _scatter(self, items: list[tuple[str, str, str]], timeout: float | None) -> list:
-        """Partition items by shard, exchange concurrently, restore order."""
-        by_shard: dict[int, list[int]] = {}
-        for index, (_, source, target) in enumerate(items):
-            by_shard.setdefault(self.shard_of(source, target), []).append(index)
-        results: list = [None] * len(items)
-
-        def run_shard(shard_id: int, indices: list[int]) -> None:
-            values = self._run_batch(shard_id, [items[index] for index in indices], timeout)
-            for index, value in zip(indices, values):
-                results[index] = value
-
-        _fan_out(
-            [
-                lambda shard_id=shard_id, indices=indices: run_shard(shard_id, indices)
-                for shard_id, indices in by_shard.items()
-            ]
-        )
-        return results
-
-
-def replay_facade_concurrently(
-    client,
-    workload,
-    num_clients: int,
-    timeout: float | None = 120.0,
-) -> float:
-    """Drive a scripted replay through *num_clients* concurrent threads.
-
-    The remote analogue of
-    :func:`~repro.service.service.replay_concurrently`: the workload is
-    split round-robin and each slice replays on its own thread through
-    the shared client.  Returns the elapsed wall-clock seconds; thread
-    failures re-raise.
-    """
-    slices = [part for part in shard_workload(list(workload), num_clients) if part]
-    start = time.perf_counter()
-    _fan_out([lambda part=part: client.replay(part, timeout=timeout) for part in slices])
-    return time.perf_counter() - start
-
-
 __all__ = [
-    "BATCH_CHUNK_SIZE",
     "DEFAULT_TIMEOUT",
-    "ShardedClientFacade",
     "is_request_shaped",
     "is_stale_symptom",
-    "replay_facade_concurrently",
-    "verify_peer_identity",
-    "verify_served_identity",
 ]

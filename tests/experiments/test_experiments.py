@@ -121,18 +121,17 @@ class TestRunners:
         assert row.transport == "local"
         assert "Hit rate" in format_service_rows([row], title="svc")
 
-    def test_service_experiment_remote_transport(self, model, dataset, scale):
-        """The transport axis: same runner, real shard subprocesses."""
+    def test_service_experiment_one_replica_cluster(self, model, dataset, scale):
+        """One replica per shard: the plain process-per-shard deployment."""
         row = run_service_experiment(
             model, dataset, scale, num_requests=120, num_clients=2,
-            num_shards=2, transport="remote",
+            num_shards=2, transport="cluster", num_replicas=1,
         )
-        assert row.transport == "remote"
+        assert row.transport == "cluster"
         assert row.num_shards == 2
+        assert row.num_replicas == 1
         assert row.num_requests == 120
         assert row.requests_per_second > 0
-        table = format_service_rows([row], title="svc")
-        assert "Transport" in table and "remote" in table
 
     def test_service_experiment_cluster_transport(self, model, dataset, scale):
         """The replication axis: replicated real subprocesses with failover routing."""

@@ -621,30 +621,36 @@ class TestReplicatedCluster:
         ) as cluster:
             topology_path = tmp_path / "cluster.json"
             topology_path.write_text(json.dumps(cluster.topology.to_dict()))
-            stats_path = tmp_path / "stats.json"
-            assert (
-                main(
-                    [
-                        "cluster",
-                        "--topology",
-                        str(topology_path),
-                        "--requests",
-                        "24",
-                        "--clients",
-                        "2",
-                        "--mix",
-                        "mixed",
-                        "--stats-json",
-                        str(stats_path),
-                    ]
+            # The same servers addressed two ways: the topology file (2
+            # replicas per shard) and --endpoints (replica 0 of each shard).
+            first_replicas = ",".join(group[0].endpoint for group in cluster.replicas)
+            for addressing, num_replicas in (
+                (["--topology", str(topology_path)], 2),
+                (["--endpoints", first_replicas], 1),
+            ):
+                stats_path = tmp_path / "stats.json"
+                assert (
+                    main(
+                        [
+                            "cluster",
+                            *addressing,
+                            "--requests",
+                            "24",
+                            "--clients",
+                            "2",
+                            "--mix",
+                            "mixed",
+                            "--stats-json",
+                            str(stats_path),
+                        ]
+                    )
+                    == 0
                 )
-                == 0
-            )
-            report = json.loads(capsys.readouterr().out)
-            assert report["transport"] == "cluster"
-            assert report["num_requests"] == 24
-            assert report["num_shards"] == 2
-            assert report["service"]["failed"] == 0
-            stats = json.loads(stats_path.read_text())
-            assert stats["num_replicas"] == 2
-            assert "shard_imbalance" in stats["overall"]
+                report = json.loads(capsys.readouterr().out)
+                assert report["transport"] == "cluster"
+                assert report["num_requests"] == 24
+                assert report["num_shards"] == 2
+                assert report["service"]["failed"] == 0
+                stats = json.loads(stats_path.read_text())
+                assert stats["num_replicas"] == num_replicas
+                assert "shard_imbalance" in stats["overall"]

@@ -654,14 +654,24 @@ class TestDoctorDiagnose:
         assert finding["details"]["shard"] == 1
         assert "10.0x the fleet median" in finding["message"]
 
-    def test_per_shard_fallback_names_the_pseudo_replica(self):
+    def test_one_replica_per_shard_fleet_names_the_slow_endpoint(self):
+        # --endpoints scrapes a one-replica-per-shard topology: the slow
+        # shard is named by its server endpoint.
         stats = {
             "overall": {},
             "per_shard": [{"p95_ms": 1.0}, {"p95_ms": 1.0}, {"p95_ms": 10.0}],
+            "routing": {"replicas": [
+                _replica("a:1", shard=0, p95_ms=1.0),
+                _replica("b:1", shard=1, p95_ms=1.0),
+                _replica("c:1", shard=2, p95_ms=10.0),
+            ]},
         }
         (finding,) = diagnose(stats)["findings"]
         assert finding["code"] == "slow-replica"
-        assert finding["details"]["endpoint"] == "shard[2]"
+        assert finding["details"]["endpoint"] == "c:1"
+        assert finding["details"]["shard"] == 2
+        del stats["routing"]  # per-shard rows alone name no replica
+        assert diagnose(stats)["summary"]["replicas"] == 0
 
     def test_queue_depth_skew_and_shard_imbalance(self):
         stats = {
@@ -1023,6 +1033,8 @@ class TestDoctorCLI:
         document = json.loads(capsys.readouterr().out)
         assert set(document) == {"diagnosis", "slo"}
         assert document["diagnosis"]["health"] in ("healthy", "degraded", "critical")
+        # --endpoints scrapes through the cluster client: one routed replica
+        assert document["diagnosis"]["summary"]["replicas"] == 1
         assert "request-latency" in document["slo"]["objectives"]
 
     def test_doctor_honours_cli_objectives(self, single_server, capsys):
@@ -1069,7 +1081,10 @@ class TestMetricsCLI:
     def test_one_shot_prints_the_exposition(self, single_server, capsys):
         _, address = single_server
         assert metrics_main(["--endpoints", address]) == 0
-        parse_exposition(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        parse_exposition(text)
+        # --endpoints scrapes through the cluster client: fleet series present
+        assert "repro_fleet_migrations_active 0" in text
 
 
 # ----------------------------------------------------------------------
@@ -1086,12 +1101,14 @@ def _load_check_bench():
 class TestBenchTripwire:
     def test_collapse_beyond_the_factor_fails(self):
         check_bench = _load_check_bench()
-        report = check_bench.compare(
-            {"ZH-EN": {"warm_rps": 10.0}}, {"ZH-EN": {"warm_rps": 100.0}}
-        )
-        (failure,) = report["failures"]
-        assert failure["workload"] == "ZH-EN"
-        assert failure["collapse"] == pytest.approx(10.0)
+        # ZH-EN-remote keeps its warm throughput under its historic key
+        for workload, key in (("ZH-EN", "warm_rps"), ("ZH-EN-remote", "remote_warm_rps")):
+            report = check_bench.compare(
+                {workload: {key: 10.0}}, {workload: {key: 100.0}}
+            )
+            (failure,) = report["failures"]
+            assert (failure["workload"], failure["metric"]) == (workload, key)
+            assert failure["collapse"] == pytest.approx(10.0)
 
     def test_noise_inside_the_factor_passes(self):
         check_bench = _load_check_bench()

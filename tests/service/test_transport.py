@@ -11,8 +11,9 @@ Three layers of coverage:
   rejected before the body is read, a server dying mid-request surfaces
   as a client error rather than a hang, and stale pooled connections
   reconnect.
-* **Process-per-shard integration** — `LocalShardCluster` spawns real
-  ``python -m repro.service serve`` subprocesses: results are
+* **Process-per-shard integration** — `ReplicatedLocalCluster` with one
+  replica per shard spawns real ``python -m repro.service serve``
+  subprocesses behind a `ClusterClient`: results are
   bit-identical to the in-process sharded service at shards ∈ {1, 2},
   replay/explain_many preserve order, stats merge across processes,
   ``invalidate`` fans out to every shard, and a killed shard fails its
@@ -33,28 +34,32 @@ from repro.service import (
     CONFIDENCE,
     EXPLAIN,
     VERIFY,
+    ClusterClient,
     DeadlineExceededError,
     ExplanationService,
-    LocalShardCluster,
     RemoteShardClient,
-    RemoteShardedClient,
     RemoteTransportError,
+    ReplicatedLocalCluster,
     ServiceConfig,
     ServiceOverloadedError,
     ShardedExplanationService,
     ShardServer,
 )
+from repro.service.cluster import topology_for_endpoints
 from repro.service.transport import (
+    PROTOCOL_VERSION,
     ConnectionClosedError,
     FrameTimeoutError,
     FrameTooLargeError,
     ProtocolError,
+    decode_any_body,
     decode_error,
     decode_value,
     encode_error,
     encode_frame,
     encode_value,
     recv_frame,
+    recv_frame_raw,
     send_frame,
 )
 from repro.service.transport.protocol import OP_PING
@@ -62,6 +67,60 @@ from repro.service.transport.protocol import OP_PING
 
 def predicted_pairs(model, limit=20):
     return sorted(model.predict().pairs)[:limit]
+
+
+class FakePeer:
+    """A scripted loopback peer: *handle(conn)* runs on its own thread per connection.
+
+    The accept loop polls a stop flag instead of blocking: on Linux,
+    closing a listening socket does not wake a thread blocked in
+    ``accept()`` (the reason ``ShardServer`` polls too), so :meth:`close`
+    returns as soon as the handlers have finished.
+    """
+
+    def __init__(self, handle) -> None:
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(8)
+        self._listener.settimeout(0.05)
+        host, port = self._listener.getsockname()
+        self.address = f"{host}:{port}"
+        self._handle = handle
+        self._stop = threading.Event()
+        self._handlers: list[threading.Thread] = []
+        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
+        self._acceptor.start()
+
+    def _accept_loop(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            conn.settimeout(None)
+            handler = threading.Thread(target=self._handle, args=(conn,), daemon=True)
+            handler.start()
+            self._handlers.append(handler)
+
+    def close(self) -> None:
+        self._stop.set()
+        self._acceptor.join(timeout=10)
+        self._listener.close()
+        for handler in self._handlers:
+            handler.join(timeout=10)
+        assert not self._acceptor.is_alive()
+        assert not any(handler.is_alive() for handler in self._handlers)
+
+
+def recv_request(conn):
+    """The next request from either wire codec (``None`` on a clean EOF)."""
+    body = recv_frame_raw(conn)
+    return None if body is None else decode_any_body(body)[2]
+
+
+def identity(shard_id=0, num_shards=1):
+    """The ping payload of a well-wired shard server."""
+    return {"protocol": PROTOCOL_VERSION, "shard_id": shard_id, "num_shards": num_shards}
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +387,7 @@ class TestWireErrors:
         server.start_in_thread()
         try:
             with pytest.raises(RemoteTransportError, match="miswired"):
-                RemoteShardedClient([address])  # expects shard 0 of 1
+                ClusterClient(topology_for_endpoints([[address]]))  # expects shard 0 of 1
         finally:
             server.stop()
             service.close(drain=False)
@@ -358,7 +417,7 @@ class TestWireErrors:
             servers.append(server)
         try:
             with pytest.raises(RemoteTransportError, match="disagree"):
-                RemoteShardedClient(addresses)
+                ClusterClient(topology_for_endpoints([[address] for address in addresses]))
         finally:
             for server, service in zip(servers, services):
                 server.stop()
@@ -411,51 +470,39 @@ class TestWireErrors:
 
 class TestConnectionFailures:
     def test_mid_request_server_death_is_an_error_not_a_hang(self):
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        host, port = listener.getsockname()
-
-        def accept_then_die():
-            conn, _ = listener.accept()
-            recv_frame(conn)  # read the request in full ...
+        def read_then_die(conn):
+            recv_request(conn)  # read the request in full ...
             conn.close()  # ... and die without replying
 
-        killer = threading.Thread(target=accept_then_die, daemon=True)
-        killer.start()
-        client = RemoteShardClient(f"{host}:{port}", timeout=10)
+        peer = FakePeer(read_then_die)
+        client = RemoteShardClient(peer.address, timeout=10)
         start = time.monotonic()
         with pytest.raises(RemoteTransportError):
             client.call({"op": OP_PING})
         assert time.monotonic() - start < 10  # surfaced, not hung
-        killer.join(timeout=5)
-        listener.close()
         client.close()
+        peer.close()
 
     def test_short_batch_response_is_a_protocol_error_not_silent_nones(self):
         """A server answering N batch items with fewer results must raise,
         not truncate into None results."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        host, port = listener.getsockname()
 
-        def answer_short():
-            conn, _ = listener.accept()
+        def answer_short(conn):
             with conn:
-                recv_frame(conn)  # the batch request
-                send_frame(conn, {"results": [{"ok": True}]})  # 1 slot for 2 items
+                while (request := recv_request(conn)) is not None:
+                    if request["op"] == OP_PING:  # topology check + manager probes
+                        send_frame(conn, {"ok": identity()})
+                    else:  # the batch request: 1 slot for 2 items
+                        send_frame(conn, {"results": [{"ok": True}]})
 
-        responder = threading.Thread(target=answer_short, daemon=True)
-        responder.start()
-        client = RemoteShardedClient(
-            [f"{host}:{port}"], timeout=10, check_topology=False, wire="json", mux=False
+        peer = FakePeer(answer_short)
+        client = ClusterClient(
+            topology_for_endpoints([[peer.address]]), timeout=10, wire="json", mux=False
         )
         with pytest.raises(ProtocolError, match="batch"):
             client.replay([(VERIFY, "a", "b"), (VERIFY, "c", "d")])
-        responder.join(timeout=10)
-        listener.close()
         client.close()
+        peer.close()
 
     def test_connection_refused_is_a_transport_error(self):
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -482,35 +529,25 @@ class TestConnectionFailures:
         detected as stale and the request retried once on a fresh dial —
         the explicit unit for what the kill-shard test only exercises
         implicitly."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(4)
-        host, port = listener.getsockname()
         connections_seen = []
         requests_answered = []
 
-        def serve_one_then_hang_up():
+        def serve_one_then_hang_up(conn):
             # Each accepted connection answers exactly one frame and is
             # then closed server-side — every pooled socket goes stale
             # after its first use (an idle-connection reaper in miniature).
-            while True:
-                try:
-                    conn, _ = listener.accept()
-                except OSError:
+            connections_seen.append(conn)
+            with conn:
+                request = recv_frame(conn)
+                if request is None:
                     return
-                connections_seen.append(conn)
-                with conn:
-                    request = recv_frame(conn)
-                    if request is None:
-                        continue
-                    requests_answered.append(request)
-                    send_frame(conn, {"ok": {"shard_id": 0, "echo": request.get("n")}})
+                requests_answered.append(request)
+                send_frame(conn, {"ok": {"shard_id": 0, "echo": request.get("n")}})
 
-        server = threading.Thread(target=serve_one_then_hang_up, daemon=True)
-        server.start()
+        peer = FakePeer(serve_one_then_hang_up)
         # Pin json/no-mux: the fake server counts connections, and a
         # negotiation ping would add one.
-        client = RemoteShardClient(f"{host}:{port}", timeout=10, wire="json", mux=False)
+        client = RemoteShardClient(peer.address, timeout=10, wire="json", mux=False)
         first = client.call({"op": OP_PING, "n": 1})
         assert first["echo"] == 1
         assert len(client._pool) == 1  # the (already dead) socket went back
@@ -521,38 +558,32 @@ class TestConnectionFailures:
         assert len(connections_seen) == 2  # one re-dial, no more
         assert [request["n"] for request in requests_answered] == [1, 2]
         client.close()
-        listener.close()
-        server.join(timeout=10)
+        peer.close()
 
     def test_timeout_raises_without_retrying_the_request(self):
         """A slow server means timeout, not retry: re-sending would double
         its work and the caller's wait."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        host, port = listener.getsockname()
         requests_seen = []
+        release = threading.Event()
 
-        def accept_and_stall():
-            conn, _ = listener.accept()
-            requests_seen.append(recv_frame(conn))
-            time.sleep(3.0)  # never answer within the client timeout
-            conn.close()
+        def read_and_stall(conn):
+            with conn:
+                requests_seen.append(recv_frame(conn))
+                release.wait(timeout=30)  # never answer within the client timeout
 
-        staller = threading.Thread(target=accept_and_stall, daemon=True)
-        staller.start()
+        peer = FakePeer(read_and_stall)
         # Pin json/no-mux so the stalled frame is the request itself, not
         # a negotiation ping.
-        client = RemoteShardClient(f"{host}:{port}", timeout=10, wire="json", mux=False)
+        client = RemoteShardClient(peer.address, timeout=10, wire="json", mux=False)
         start = time.monotonic()
         with pytest.raises(FrameTimeoutError):
             client.call({"op": OP_PING}, timeout=0.5)
         elapsed = time.monotonic() - start
+        release.set()  # only now may the stalled server hang up
         assert elapsed < 2.0  # one timeout's wait, not two (no re-send)
-        staller.join(timeout=10)
-        assert len(requests_seen) == 1  # the request was never re-sent
-        listener.close()
         client.close()
+        peer.close()
+        assert len(requests_seen) == 1  # the request was never re-sent
 
     def test_local_oversized_request_spares_the_pooled_connection(self, loopback_server):
         """An oversized request must fail before touching any socket."""
@@ -592,8 +623,12 @@ class TestRemoteCluster:
                 expected_confidence[pair] = local.submit(CONFIDENCE, *pair).result(60)
                 expected_verify[pair] = local.submit(VERIFY, *pair).result(60)
 
-        with LocalShardCluster(
-            fitted_model, service_dataset, num_shards=num_shards, service_config=config
+        with ReplicatedLocalCluster(
+            fitted_model,
+            service_dataset,
+            num_shards=num_shards,
+            num_replicas=1,
+            service_config=config,
         ) as cluster:
             client = cluster.client
             for pair in pairs:
@@ -610,7 +645,9 @@ class TestRemoteCluster:
         workload = [(EXPLAIN, *pair) for pair in pairs] + [
             (CONFIDENCE, *pair) for pair in reversed(pairs)
         ]
-        with LocalShardCluster(fitted_model, service_dataset, num_shards=2) as cluster:
+        with ReplicatedLocalCluster(
+            fitted_model, service_dataset, num_shards=2, num_replicas=1
+        ) as cluster:
             results = cluster.client.replay(workload)
             assert len(results) == len(workload)
             for (kind, source, target), value in zip(workload, results):
@@ -629,7 +666,9 @@ class TestRemoteCluster:
 
     def test_invalidate_fans_out_to_every_shard(self, fitted_model, service_dataset):
         pairs = predicted_pairs(fitted_model, limit=8)
-        with LocalShardCluster(fitted_model, service_dataset, num_shards=2) as cluster:
+        with ReplicatedLocalCluster(
+            fitted_model, service_dataset, num_shards=2, num_replicas=1
+        ) as cluster:
             client = cluster.client
             for pair in pairs:
                 client.confidence(*pair)
@@ -657,7 +696,9 @@ class TestRemoteCluster:
         self, fitted_model, service_dataset
     ):
         pairs = predicted_pairs(fitted_model, limit=20)
-        with LocalShardCluster(fitted_model, service_dataset, num_shards=2) as cluster:
+        with ReplicatedLocalCluster(
+            fitted_model, service_dataset, num_shards=2, num_replicas=1
+        ) as cluster:
             client = cluster.client
             by_shard = client.router.partition(pairs)
             assert set(by_shard) == {0, 1}, "test pairs routed too unevenly"
