@@ -89,7 +89,9 @@ class LowConfidenceRepairer:
                 flagged.append((source, target))
         return flagged
 
-    def _candidates(self, source: str, working: AlignmentSet) -> list[str]:
+    def _candidates(
+        self, source: str, working: AlignmentSet, test_targets: set[str]
+    ) -> list[str]:
         """Candidate targets whose neighbourhood shares an aligned entity with *source*.
 
         These are the targets that can form an explanation with at least one
@@ -101,6 +103,9 @@ class LowConfidenceRepairer:
         per-call set builds + string sorts.  Ids follow sorted-entity
         order, so the candidate order is identical to the former
         sorted-string enumeration.
+
+        A candidate must be a test target (*test_targets*, built once per
+        :meth:`repair`) or a target that *working* already aligns.
         """
         reference = self._reference(working)
         index1 = self.dataset.kg1.index()
@@ -110,7 +115,6 @@ class LowConfidenceRepairer:
             return []
         candidates: list[str] = []
         seen: set[int] = set()
-        valid_targets = self.dataset.test_targets() | working.targets()
         entities1 = index1.entities
         entities2 = index2.entities
         for neighbor1_id in index1.neighbor_ids(source_id):
@@ -123,7 +127,7 @@ class LowConfidenceRepairer:
                         continue
                     seen.add(candidate_id)
                     candidate = entities2[candidate_id]
-                    if candidate not in valid_targets:
+                    if candidate not in test_targets and not working.has_target(candidate):
                         continue
                     candidates.append(candidate)
                     if len(candidates) >= self.max_candidates:
@@ -150,6 +154,7 @@ class LowConfidenceRepairer:
         result = LowConfidenceRepairResult(alignment=working)
         protected: set[tuple[str, str]] = set()
         reference = self._reference(working)
+        test_targets = self.dataset.test_targets()
 
         last_size = -1
         for iteration in range(self.max_iterations):
@@ -166,7 +171,7 @@ class LowConfidenceRepairer:
 
             still_unaligned: set[str] = set()
             for source in sorted(unaligned):
-                candidates = self._candidates(source, working)
+                candidates = self._candidates(source, working, test_targets)
                 if not candidates:
                     still_unaligned.add(source)
                     continue

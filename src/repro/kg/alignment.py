@@ -123,6 +123,10 @@ class AlignmentSet:
         """Source entities aligned to *target*."""
         return set(self._by_target.get(target, set()))
 
+    def has_target(self, target: str) -> bool:
+        """Whether some source is aligned to *target*; a lookup, no set copy."""
+        return bool(self._by_target.get(target))
+
     def target_of(self, source: str) -> str | None:
         """The single target aligned with *source*, or ``None``.
 

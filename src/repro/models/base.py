@@ -28,6 +28,7 @@ from ..embedding import (
     ranking_metrics,
 )
 from ..kg import AlignmentSet, EADataset, KnowledgeGraph, Triple
+from .sparse import SparseOperator, coalesce
 
 
 @dataclass
@@ -407,31 +408,42 @@ def build_adjacency(
     kg2: KnowledgeGraph,
     index: EntityIndex,
     seed_alignment: AlignmentSet | None = None,
-) -> "np.ndarray":
-    """Symmetric, degree-normalised adjacency matrix over both KGs.
+) -> SparseOperator:
+    """Symmetric, degree-normalised adjacency operator over both KGs.
 
-    Returns a dense ``(n, n)`` matrix ``D^{-1/2} (A + I) D^{-1/2}`` of the
-    union graph, which is the propagation operator used by the GCN-based
-    models.  When *seed_alignment* is given, cross-KG edges are added
-    between seed-aligned entities so that information propagates across the
-    two graphs (the standard seed-fusion trick of GCN-based EA models:
+    Returns ``D^{-1/2} (A + I) D^{-1/2}`` of the union graph as a
+    :class:`~repro.models.sparse.SparseOperator`, the propagation operator
+    of GCN-Align.  ``A`` is binary: every triple sets its ``(head, tail)``
+    and ``(tail, head)`` cells to 1, however many triples link the two
+    entities, so a self-loop triple weighs 2 on the diagonal once ``I`` is
+    added.  When *seed_alignment* is given, cross-KG edges are set between
+    seed-aligned entities so that information propagates across the two
+    graphs (the standard seed-fusion trick of GCN-based EA models:
     counterpart entities then share actual neighbours, which is what lets
     the encoder generalise beyond the seed set).
     """
     n = index.num_entities()
-    adjacency = np.zeros((n, n))
+    heads: list[np.ndarray] = []
+    tails: list[np.ndarray] = []
     for kg in (kg1, kg2):
         ids = index.triples_to_ids(list(kg.triples))
-        if len(ids):
-            adjacency[ids[:, 0], ids[:, 2]] = 1.0
-            adjacency[ids[:, 2], ids[:, 0]] = 1.0
+        heads.append(ids[:, 0])
+        tails.append(ids[:, 2])
     if seed_alignment is not None and len(seed_alignment):
         pairs = list(seed_alignment)
-        rows = index.entity_ids([source for source, _ in pairs])
-        cols = index.entity_ids([target for _, target in pairs])
-        adjacency[rows, cols] = 1.0
-        adjacency[cols, rows] = 1.0
-    adjacency[np.diag_indices(n)] += 1.0
-    degrees = adjacency.sum(axis=1)
+        heads.append(index.entity_ids([source for source, _ in pairs]))
+        tails.append(index.entity_ids([target for _, target in pairs]))
+    rows = np.concatenate(heads + tails)
+    cols = np.concatenate(tails + heads)
+    # Distinct edge cells set to 1, then the diagonal added on top.
+    edges = np.unique(rows * n + cols)
+    diagonal = np.arange(n)
+    rows, cols, values = coalesce(
+        np.concatenate([edges // n, diagonal]),
+        np.concatenate([edges % n, diagonal]),
+        np.ones(len(edges) + n),
+        n,
+    )
+    degrees = np.bincount(rows, weights=values, minlength=n)
     inv_sqrt = 1.0 / np.sqrt(np.maximum(degrees, 1e-12))
-    return adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return SparseOperator(rows, cols, values * inv_sqrt[rows] * inv_sqrt[cols], (n, n))

@@ -35,6 +35,7 @@ from ..embedding import l2_normalize_rows, make_optimizer
 from ..kg import EADataset, KnowledgeGraph
 from .base import EAModel, EntityIndex
 from .gcn import GCNEncoder, logsumexp_mining_gradient
+from .sparse import SparseOperator, coalesce
 
 
 class DualAMN(EAModel):
@@ -71,7 +72,7 @@ class DualAMN(EAModel):
         source_ids = np.array([index.entity_to_id[s] for s, _ in seed_pairs], dtype=int)
         target_ids = np.array([index.entity_to_id[t] for _, t in seed_pairs], dtype=int)
 
-        output = encoder.forward(np.eye(index.num_entities()))
+        output = encoder.forward(SparseOperator.identity(index.num_entities()))
         adjacency = self._attention_adjacency(triples, index, output, source_ids, target_ids)
         for epoch in range(self.epochs):
             if epoch > 0 and epoch % self.refresh_interval == 0:
@@ -194,18 +195,24 @@ class DualAMN(EAModel):
         entity_matrix: np.ndarray,
         seed_source_ids: np.ndarray,
         seed_target_ids: np.ndarray,
-    ) -> np.ndarray:
-        """Attention-weighted propagation matrix (recomputed periodically).
+    ) -> SparseOperator:
+        """Attention-weighted propagation operator (recomputed periodically).
 
         The raw attention score of edge ``(i, r, j)`` is the dot product of
         the current representation of ``i`` with the relation embedding of
-        ``r``; scores are softmax-normalised over each node's incident
-        edges, symmetrised, and self-loops are added.  Seed-aligned entities
-        are connected with cross-KG edges so that information flows between
-        the two graphs.
+        ``r``; the scores are scaled by their standard deviation and
+        exponentiated, and each edge adds its weight to both the ``(i, j)``
+        and the ``(j, i)`` cell, so parallel triples sum.  Seed-aligned
+        entities are connected with cross-KG edges of the mean weight of
+        the distinct nonzero cells, so that information flows between the
+        two graphs.  Self-loops of weight 1 are added and every row is
+        divided by its sum: the result is row-stochastic and *not*
+        symmetric.  Weights are computed on the nonzero cells only.
         """
         n = index.num_entities()
-        adjacency = np.zeros((n, n))
+        rows = np.zeros(0, dtype=int)
+        cols = np.zeros(0, dtype=int)
+        values = np.zeros(0)
         if triples.shape[0]:
             relation_matrix = self._relation_embeddings(triples, index, entity_matrix)
             heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
@@ -216,12 +223,20 @@ class DualAMN(EAModel):
             # temperature is comparable across refreshes.
             scale = np.std(scores) + 1e-8
             weights = np.exp(np.clip(scores / scale, -10.0, 10.0))
-            np.add.at(adjacency, (heads, tails), weights)
-            np.add.at(adjacency, (tails, heads), weights)
+            rows, cols, values = coalesce(
+                np.concatenate([heads, tails]),
+                np.concatenate([tails, heads]),
+                np.concatenate([weights, weights]),
+                n,
+            )
+        pieces = [(rows, cols, values)]
         if seed_source_ids.size:
-            mean_weight = adjacency[adjacency > 0].mean() if np.any(adjacency > 0) else 1.0
-            adjacency[seed_source_ids, seed_target_ids] += mean_weight
-            adjacency[seed_target_ids, seed_source_ids] += mean_weight
-        adjacency += np.eye(n)
-        row_sums = adjacency.sum(axis=1, keepdims=True)
-        return adjacency / np.maximum(row_sums, 1e-12)
+            mean_weight = values.mean() if len(values) else 1.0
+            seed_weights = np.full(seed_source_ids.size, mean_weight)
+            pieces.append((seed_source_ids, seed_target_ids, seed_weights))
+            pieces.append((seed_target_ids, seed_source_ids, seed_weights))
+        diagonal = np.arange(n)
+        pieces.append((diagonal, diagonal, np.ones(n)))
+        rows, cols, values = coalesce(*(np.concatenate(part) for part in zip(*pieces)), n)
+        row_sums = np.bincount(rows, weights=values, minlength=n)
+        return SparseOperator(rows, cols, values / np.maximum(row_sums[rows], 1e-12), (n, n))

@@ -8,19 +8,26 @@ The encoder computes
     H = \\hat{A} \\,\\mathrm{ReLU}(\\hat{A} X W_1)\\, W_2
 
 where ``X`` are learnable input features and ``\\hat{A}`` is a (normalised)
-propagation matrix supplied by the caller — the plain symmetric-normalised
-adjacency for GCN-Align, an attention-weighted adjacency for Dual-AMN.
-Gradients with respect to ``X``, ``W_1`` and ``W_2`` are computed manually
-from an upstream gradient on the output embeddings.
+propagation operator supplied by the caller — the symmetric-normalised
+adjacency for GCN-Align, a row-normalised attention adjacency for Dual-AMN.
+Both are :class:`~repro.models.sparse.SparseOperator` instances; the
+encoder only uses ``adjacency @ M`` and ``adjacency.T @ M``, so any object
+with that protocol (a small NumPy array in the unit tests) works.  The
+backward pass multiplies by the true transpose, which matters because
+Dual-AMN's operator is not symmetric.  Gradients with respect to ``X``,
+``W_1`` and ``W_2`` are computed manually from an upstream gradient on the
+output embeddings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from ..embedding import Optimizer, xavier_uniform
+from .sparse import SparseOperator
 
 
 @dataclass
@@ -52,10 +59,10 @@ class GCNEncoder:
         self.features = xavier_uniform((num_nodes, input_dim), rng)
         self.weight1 = xavier_uniform((input_dim, hidden_dim), rng)
         self.weight2 = xavier_uniform((hidden_dim, output_dim), rng)
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    def forward(self, adjacency: np.ndarray) -> np.ndarray:
+    def forward(self, adjacency: SparseOperator | np.ndarray) -> np.ndarray:
         """Return output embeddings ``H`` and cache intermediates for backward."""
         propagated_features = adjacency @ self.features
         pre_activation = propagated_features @ self.weight1

@@ -29,6 +29,7 @@ from ..embedding import l2_normalize_rows, make_optimizer
 from ..kg import EADataset
 from .base import EAModel, EntityIndex, build_adjacency
 from .gcn import GCNEncoder, pair_margin_gradient
+from .sparse import SparseOperator
 
 
 class GCNAlign(EAModel):
@@ -82,12 +83,16 @@ class GCNAlign(EAModel):
 
     @staticmethod
     def _seed_propagation(
-        adjacency: np.ndarray,
+        adjacency: SparseOperator,
         index: EntityIndex,
         source_ids: np.ndarray,
         target_ids: np.ndarray,
     ) -> np.ndarray:
-        """Two-hop propagation mass from every entity to every seed pair."""
+        """Two-hop propagation mass from every entity to every seed pair.
+
+        The ``n × seeds`` indicator is propagated through the sparse
+        operator in column chunks, so no ``n × n`` matrix is formed.
+        """
         num_seeds = len(source_ids)
         if num_seeds == 0:
             return np.zeros((index.num_entities(), 0))

@@ -271,7 +271,7 @@ class TestLowConfidenceRepair:
         gold = dict(sorted(core_dataset.test_alignment.pairs))
         working = AlignmentSet(gold.items())
         source = sorted(gold)[0]
-        candidates = repairer._candidates(source, working)
+        candidates = repairer._candidates(source, working, core_dataset.test_targets())
         assert isinstance(candidates, list)
         for candidate in candidates:
             assert candidate in core_dataset.kg2.entities

@@ -61,6 +61,11 @@ class TestLookup:
         assert alignment.sources() == {"a1", "a2", "a3"}
         assert alignment.targets() == {"b1", "b2", "b3"}
 
+    def test_has_target_matches_targets(self, alignment):
+        alignment.remove("a2", "b2")  # leaves an empty entry in the target index
+        for target in ("b1", "b2", "b3", "missing"):
+            assert alignment.has_target(target) == (target in alignment.targets())
+
     def test_targets_of_returns_copy(self, alignment):
         targets = alignment.targets_of("a1")
         targets.add("bogus")

@@ -21,6 +21,7 @@ from repro.models import (
     make_model,
 )
 from repro.models.gcn import GCNEncoder, logsumexp_mining_gradient, pair_margin_gradient
+from repro.models.sparse import SparseOperator
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,9 @@ class TestEntityIndex:
 class TestAdjacency:
     def test_adjacency_is_symmetric_and_normalized(self, tiny_dataset):
         index = EntityIndex(tiny_dataset)
-        adjacency = build_adjacency(tiny_dataset.kg1, tiny_dataset.kg2, index)
+        operator = build_adjacency(tiny_dataset.kg1, tiny_dataset.kg2, index)
+        adjacency = operator @ np.eye(index.num_entities())
+        assert operator.shape == (index.num_entities(), index.num_entities())
         assert adjacency.shape == (index.num_entities(), index.num_entities())
         assert np.allclose(adjacency, adjacency.T)
         assert np.all(adjacency.diagonal() > 0)
@@ -212,6 +215,40 @@ class TestGCNInternals:
             parameter[idx] = original
             numeric = (plus - minus) / (2 * epsilon)
             assert gradient[idx] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
+
+    def test_encoder_gradient_through_non_symmetric_operator(self):
+        # Dual-AMN's row-normalised operator is not symmetric: a backward
+        # pass that multiplied by A instead of A.T would fail this check.
+        rng = np.random.default_rng(3)
+        encoder = GCNEncoder(num_nodes=5, input_dim=3, hidden_dim=4, output_dim=2, rng=rng)
+        rows = np.array([0, 0, 1, 1, 2, 3, 3, 4, 0, 1, 2, 3, 4])
+        cols = np.array([1, 3, 2, 4, 0, 0, 4, 2, 0, 1, 2, 3, 4])
+        values = np.abs(rng.normal(size=len(rows))) + 0.1
+        values /= np.bincount(rows, weights=values)[rows]
+        operator = SparseOperator(rows, cols, values, (5, 5))
+        dense = operator @ np.eye(5)
+        assert not np.allclose(dense, dense.T)
+
+        def loss_value():
+            return 0.5 * np.sum(encoder.forward(operator) ** 2)
+
+        output = encoder.forward(operator)
+        gradients = encoder.backward(output)  # dL/dH = H for this loss
+        epsilon = 1e-6
+        for parameter, gradient in [
+            (encoder.weight1, gradients.weight1),
+            (encoder.features, gradients.features),
+            (encoder.weight2, gradients.weight2),
+        ]:
+            for idx in np.ndindex(parameter.shape):
+                original = parameter[idx]
+                parameter[idx] = original + epsilon
+                plus = loss_value()
+                parameter[idx] = original - epsilon
+                minus = loss_value()
+                parameter[idx] = original
+                numeric = (plus - minus) / (2 * epsilon)
+                assert gradient[idx] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 
     def test_pair_margin_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
