@@ -89,13 +89,7 @@ from .observability import (
 )
 from .service import CONFIDENCE, EXPLAIN, VERIFY, replay_concurrently
 from .sharding import ShardedExplanationService
-from .transport import (
-    DEFAULT_MAX_FRAME_BYTES,
-    SUPPORTED_WIRES,
-    WIRE_AUTO,
-    ShardServer,
-    read_snapshot,
-)
+from .transport import DEFAULT_MAX_FRAME_BYTES, ShardServer, read_snapshot
 
 SUBCOMMANDS = ("replay", "serve", "cluster", "metrics", "doctor")
 
@@ -211,25 +205,8 @@ def _resolve_topology(args: argparse.Namespace, prog: str):
     return topology_for_endpoints([[endpoint] for endpoint in endpoints])
 
 
-def _add_client_wire_arguments(parser: argparse.ArgumentParser) -> None:
-    """Client-side codec/transport preference shared by ``cluster``/``metrics``/``doctor``."""
-    parser.add_argument(
-        "--wire",
-        default=None,
-        choices=[WIRE_AUTO, *SUPPORTED_WIRES],
-        help=(
-            "wire codec preference: auto negotiates binary when the servers "
-            "support it (the default, also via REPRO_WIRE), json/binary pin one"
-        ),
-    )
-    parser.add_argument(
-        "--no-mux",
-        dest="mux",
-        action="store_const",
-        const=False,
-        default=None,
-        help="use the pooled connection-per-request transport even if servers support mux",
-    )
+def _add_client_tracing_arguments(parser: argparse.ArgumentParser) -> None:
+    """Client-side trace sampling shared by ``cluster``/``metrics``/``doctor``."""
     parser.add_argument(
         "--trace-sample-rate",
         type=float,
@@ -310,13 +287,9 @@ def _tail_sampler(args: argparse.Namespace) -> TailSampler | None:
     return TailSampler(config)
 
 
-def _client_transport_kwargs(args: argparse.Namespace) -> dict:
-    """``wire=``/``mux=``/sampling kwargs for remote clients from the CLI flags."""
-    kwargs = {
-        "wire": args.wire,
-        "mux": args.mux,
-        "trace_sample_rate": args.trace_sample_rate,
-    }
+def _client_tracing_kwargs(args: argparse.Namespace) -> dict:
+    """Sampling kwargs for remote clients from the CLI flags."""
+    kwargs = {"trace_sample_rate": args.trace_sample_rate}
     sampler = _tail_sampler(args)
     if sampler is not None:
         kwargs["tail_sampler"] = sampler
@@ -474,18 +447,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="largest accepted request/response frame, in KiB",
     )
     parser.add_argument(
-        "--wire",
-        default="both",
-        choices=["both", *SUPPORTED_WIRES],
-        help="wire codecs this server accepts (default: both; clients negotiate down)",
-    )
-    parser.add_argument(
-        "--no-mux",
-        dest="mux",
-        action="store_false",
-        help="disable multiplexed (request-id-tagged) dispatch; serve frames serially",
-    )
-    parser.add_argument(
         "--lease-ttl",
         type=float,
         default=None,
@@ -524,7 +485,6 @@ def serve_main(argv: list[str]) -> int:
     from .service import ExplanationService
 
     service = ExplanationService(model, dataset, config, exea_config=exea_config)
-    wires = tuple(SUPPORTED_WIRES) if args.wire == "both" else (args.wire,)
     server_kwargs = {}
     if args.lease_ttl is not None:
         server_kwargs["lease_ttl"] = args.lease_ttl
@@ -533,8 +493,6 @@ def serve_main(argv: list[str]) -> int:
         shard_id=args.shard_id,
         num_shards=args.num_shards,
         max_frame_bytes=args.max_frame_kb * 1024,
-        wires=wires,
-        mux=args.mux,
         **server_kwargs,
     )
     address = server.bind(args.listen)
@@ -545,8 +503,6 @@ def serve_main(argv: list[str]) -> int:
         "address": address,
         "dataset": dataset.name,
         "model": model.name,
-        "wires": list(wires),
-        "mux": args.mux,
     }
     print("READY " + json.dumps(ready, sort_keys=True), flush=True)
     try:
@@ -573,7 +529,7 @@ def build_cluster_parser() -> argparse.ArgumentParser:
     )
     _add_addressing_arguments(parser)
     _add_traffic_arguments(parser)
-    _add_client_wire_arguments(parser)
+    _add_client_tracing_arguments(parser)
     _add_slo_arguments(parser)
     parser.add_argument("--seed", type=int, default=1, help="traffic seed")
     parser.add_argument("--timeout", type=float, default=60.0, help="per-request socket timeout (s)")
@@ -650,7 +606,7 @@ def cluster_main(argv: list[str]) -> int:
         if args.rebalance
         else None,
     )
-    client_kwargs = _client_transport_kwargs(args)
+    client_kwargs = _client_tracing_kwargs(args)
     objectives = _resolve_slo_objectives(args)
     if objectives:
         client_kwargs["slo_objectives"] = objectives
@@ -700,7 +656,7 @@ def build_metrics_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_addressing_arguments(parser)
-    _add_client_wire_arguments(parser)
+    _add_client_tracing_arguments(parser)
     parser.add_argument("--timeout", type=float, default=10.0, help="per-request socket timeout (s)")
     parser.add_argument("--out", default=None, help="also write the exposition text here")
     parser.add_argument(
@@ -750,7 +706,7 @@ def _build_scrape_client(args: argparse.Namespace, prog: str):
     topology = _resolve_topology(args, prog)
     if topology is None:
         return None
-    return ClusterClient(topology, timeout=args.timeout, **_client_transport_kwargs(args))
+    return ClusterClient(topology, timeout=args.timeout, **_client_tracing_kwargs(args))
 
 
 def metrics_main(argv: list[str]) -> int:
@@ -799,7 +755,7 @@ def build_doctor_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_addressing_arguments(parser)
-    _add_client_wire_arguments(parser)
+    _add_client_tracing_arguments(parser)
     _add_slo_arguments(parser)
     parser.add_argument("--timeout", type=float, default=10.0, help="per-request socket timeout (s)")
     parser.add_argument(

@@ -79,8 +79,6 @@ class ReplicatedLocalCluster:
         service_config: ServiceConfig | None = None,
         exea_config=None,
         probe_interval: float = DEFAULT_PROBE_INTERVAL,
-        wire: str | None = None,
-        mux: bool | None = None,
         probe_timeout: float = 5.0,
         stats_every: int = DEFAULT_STATS_EVERY,
         lease_ttl: float | None = None,
@@ -98,9 +96,6 @@ class ReplicatedLocalCluster:
         self.num_replicas = num_replicas
         self.service_config = service_config or ServiceConfig()
         self.exea_config = exea_config
-        #: client codec/transport preference (None = negotiate / env default)
-        self.wire = wire
-        self.mux = mux
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
         self.stats_every = stats_every
@@ -194,9 +189,7 @@ class ReplicatedLocalCluster:
                 weights=self.weights,
                 rebalance=self.rebalance,
             )
-            self.client = ClusterClient(
-                self.topology, manager=self.manager, wire=self.wire, mux=self.mux
-            )
+            self.client = ClusterClient(self.topology, manager=self.manager)
         except BaseException:
             self._reap_untracked(
                 [process for _, process in spawned],

@@ -8,13 +8,14 @@ speaks to them over a thin wire protocol.  The pieces, bottom-up:
 
 * :mod:`~repro.service.transport.framing` — length-prefixed frames over
   TCP/Unix sockets, with oversized-frame rejection and typed
-  connection-failure errors (bodies are JSON or wire-v2 binary).
-* :mod:`~repro.service.transport.wire` — the negotiated binary body
-  codec: TLV values over an interned string table, pre-encoded blob
-  splicing for batch responses, deterministic bytes per payload.
-* :mod:`~repro.service.transport.protocol` — operation names, the value
-  codec (explanations round-trip bit-identically) and the error mapping
-  that carries backpressure/deadline semantics across the wire.
+  connection-failure errors.
+* :mod:`~repro.service.transport.wire` — the binary v2 body codec: TLV
+  values over an interned string table, pre-encoded blob splicing for
+  batch responses, deterministic bytes per payload, a correlation id in
+  every header.
+* :mod:`~repro.service.transport.protocol` — operation names, result
+  type checks and the error mapping that carries backpressure/deadline
+  semantics across the wire.
 * :mod:`~repro.service.transport.mux` — :class:`MuxConnection`, one
   selectors-driven multiplexed connection per endpoint: request-id
   correlation, out-of-order completion, per-request deadlines.
@@ -24,8 +25,8 @@ speaks to them over a thin wire protocol.  The pieces, bottom-up:
   one shard group's :class:`~repro.service.service.ExplanationService`
   behind a socket (``python -m repro.service serve``).
 * :mod:`~repro.service.transport.client` — :class:`RemoteShardClient`,
-  the per-endpoint client (wire negotiation, mux or pooled connections,
-  stale-socket reconnect) that
+  the per-endpoint client (one mux connection, stale-socket reconnect)
+  that
   :class:`~repro.service.cluster.client.ClusterClient` is built on.
 * :mod:`~repro.service.transport.cluster` — serving snapshots
   (:func:`write_snapshot` / :func:`read_snapshot`) and
@@ -36,7 +37,7 @@ See ``docs/ARCHITECTURE.md`` for where this layer sits in the stack and
 ``docs/OPERATIONS.md`` for the serving CLI.
 """
 
-from .client import WIRE_AUTO, RemoteShardClient, default_wire
+from .client import RemoteShardClient
 from .cluster import ShardProcess, read_snapshot, write_snapshot
 from .facade import is_request_shaped, is_stale_symptom
 from .framing import (
@@ -45,12 +46,8 @@ from .framing import (
     FrameTimeoutError,
     FrameTooLargeError,
     ProtocolError,
-    decode_json_body,
-    encode_frame,
     frame_raw,
-    recv_frame,
     recv_frame_raw,
-    send_frame,
     send_raw_frame,
 )
 from .mux import MuxConnection
@@ -59,26 +56,13 @@ from .protocol import (
     decode_error,
     decode_value,
     encode_error,
-    encode_value,
 )
 from .server import ShardServer, parse_listen_address
-from .wire import (
-    SUPPORTED_WIRES,
-    WIRE_BINARY,
-    WIRE_JSON,
-    decode_any_body,
-    decode_binary,
-    encode_binary,
-    encode_binary_value,
-)
+from .wire import decode_binary, encode_binary, encode_binary_value
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
-    "SUPPORTED_WIRES",
-    "WIRE_AUTO",
-    "WIRE_BINARY",
-    "WIRE_JSON",
     "ConnectionClosedError",
     "FrameTimeoutError",
     "FrameTooLargeError",
@@ -87,25 +71,18 @@ __all__ = [
     "RemoteShardClient",
     "ShardProcess",
     "ShardServer",
-    "decode_any_body",
     "decode_binary",
     "decode_error",
-    "decode_json_body",
     "decode_value",
-    "default_wire",
     "encode_binary",
     "encode_binary_value",
     "encode_error",
-    "encode_frame",
-    "encode_value",
     "frame_raw",
     "is_request_shaped",
     "is_stale_symptom",
     "parse_listen_address",
     "read_snapshot",
-    "recv_frame",
     "recv_frame_raw",
-    "send_frame",
     "send_raw_frame",
     "write_snapshot",
 ]

@@ -1,10 +1,9 @@
 """Multiplexed shard connection: one socket, many tagged in-flight requests.
 
-The v1 client owned a *pool* of blocking sockets and dedicated one socket
-to each request for its whole round trip, so concurrency cost one TCP
-connection (and one blocked thread inside ``recv``) per in-flight
-request.  :class:`MuxConnection` replaces that with a single connection
-per endpoint driven by a ``selectors`` event loop on a background thread:
+:class:`MuxConnection` carries every in-flight request to one endpoint
+over a single connection driven by a ``selectors`` event loop on a
+background thread, so concurrency costs neither a socket nor a thread
+blocked in ``recv`` per request:
 
 * Callers (any number of threads) hand :meth:`request` a payload; it is
   assigned a **correlation id**, encoded once, queued, and the caller
@@ -13,9 +12,8 @@ per endpoint driven by a ``selectors`` event loop on a background thread:
   :data:`COALESCE_BYTES` per ``send``), so eight callers submitting
   batches simultaneously cost one syscall, not eight.
 * Responses complete **out of order**: the loop matches each incoming
-  frame to its future by id — for binary frames by peeking the header id
-  (no body decode on the loop), for JSON frames by the ``"id"`` member.
-  Binary bodies are decoded on the *requesting* thread, so one slow
+  frame to its future by peeking the header id (no body decode on the
+  loop).  Bodies are decoded on the *requesting* thread, so one slow
   decode never stalls the loop or other callers.
 * Every request carries its own **deadline**; the loop fails overdue
   futures with :class:`FrameTimeoutError` (never retried — a slow peer
@@ -23,11 +21,12 @@ per endpoint driven by a ``selectors`` event loop on a background thread:
 * When the socket dies, every in-flight future fails with
   :class:`ConnectionClosedError` and the connection marks itself dead;
   the owning client decides whether a retry on a fresh connection is
-  safe (same reused-socket rule as the pooled path).
-
-The peer must understand correlation ids (advertised as ``"mux": true``
-in its ping payload) because id-less servers answer strictly in order,
-which would mis-pair out-of-order completions.
+  safe (only on a connection that existed before the call).
+* A frame with id 0 is the server's **connection-level error** (an
+  oversized or undecodable request poisoned the stream, and the server
+  hangs up after it): every in-flight future fails with the decoded
+  typed error — e.g. :class:`FrameTooLargeError`, which is request-shaped
+  and so neither retried nor held against the replica.
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ from .framing import (
     ConnectionClosedError,
     FrameTimeoutError,
     ProtocolError,
-    decode_json_body,
-    encode_frame,
     frame_raw,
 )
-from .wire import WIRE_BINARY, decode_binary, encode_binary, is_binary_body, peek_request_id
+from .protocol import decode_error
+from .wire import decode_binary, encode_binary, peek_request_id
 
 #: Upper bound on one coalesced ``send`` buffer.
 COALESCE_BYTES = 256 * 1024
@@ -66,7 +64,6 @@ class MuxConnection:
 
     Parameters:
         sock: a connected stream socket (the connection takes ownership).
-        wire: codec for outgoing requests (``"binary"`` or ``"json"``).
         max_frame_bytes: frame size bound in both directions.
         counters: optional :class:`WireCounters` fed by both directions.
     """
@@ -74,12 +71,10 @@ class MuxConnection:
     def __init__(
         self,
         sock: socket.socket,
-        wire: str = WIRE_BINARY,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         counters: WireCounters | None = None,
         blob_cache: dict | None = None,
     ) -> None:
-        self.wire = wire
         self.max_frame_bytes = max_frame_bytes
         self.counters = counters
         # May be shared with the owning client so hot decoded results
@@ -125,14 +120,9 @@ class MuxConnection:
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
-        if self.wire == WIRE_BINARY:
-            body = encode_binary(payload, request_id, self.max_frame_bytes)
-        else:
-            body = None  # encoded below; encode_frame applies the size bound
-        if body is None:
-            frame = encode_frame({**payload, "id": request_id}, self.max_frame_bytes)
-        else:
-            frame = frame_raw(body, self.max_frame_bytes)
+        frame = frame_raw(
+            encode_binary(payload, request_id, self.max_frame_bytes), self.max_frame_bytes
+        )
         encode_ns = time.perf_counter_ns() - started
         if self.counters is not None:
             self.counters.record_sent(len(frame), encode_ns)
@@ -153,15 +143,13 @@ class MuxConnection:
         except FutureTimeoutError:
             self._fail(FrameTimeoutError("multiplexed event loop stopped responding"))
             raise self._dead from None
-        if isinstance(result, (bytes, bytearray)):
-            decode_started = time.perf_counter_ns()
-            _, decoded = decode_binary(bytes(result), self.blob_cache)
-            if self.counters is not None:
-                self.counters.record_received(
-                    _LENGTH.size + len(result), time.perf_counter_ns() - decode_started
-                )
-            return decoded
-        return result
+        decode_started = time.perf_counter_ns()
+        _, decoded = decode_binary(result, self.blob_cache)
+        if self.counters is not None:
+            self.counters.record_received(
+                _LENGTH.size + len(result), time.perf_counter_ns() - decode_started
+            )
+        return decoded
 
     def close(self) -> None:
         """Tear the connection down; in-flight requests fail as closed."""
@@ -271,27 +259,21 @@ class MuxConnection:
             body = bytes(buffer[offset + _LENGTH.size : end])
             offset = end
             self._dispatch_body(body)
+            if self._dead is not None:
+                return  # a connection-level error frame ended the stream
         if offset:
             del buffer[:offset]
 
     def _dispatch_body(self, body: bytes) -> None:
-        if is_binary_body(body):
-            request_id = peek_request_id(body)
-            result: object = body
-        else:
-            decode_started = time.perf_counter_ns()
-            payload = decode_json_body(body)
-            request_id = payload.get("id", 0)
-            if self.counters is not None:
-                self.counters.record_received(
-                    _LENGTH.size + len(body), time.perf_counter_ns() - decode_started
-                )
-            result = payload
+        request_id = peek_request_id(body)
+        if request_id == 0:
+            self._fail(_connection_error(body))
+            return
         with self._lock:
             future = self._pending.pop(request_id, None)
             self._deadlines.pop(request_id, None)
         if future is not None:
-            future.set_result(result)
+            future.set_result(body)
         # An unknown id is a response whose deadline already fired: drop it.
 
     def _expire_overdue(self) -> None:
@@ -329,6 +311,15 @@ class MuxConnection:
                 sock.close()
             except OSError:
                 pass
+
+
+def _connection_error(body: bytes) -> Exception:
+    """The typed error an id-0 (connection-level) frame carries."""
+    _, payload = decode_binary(body)
+    error = payload.get("error")
+    if not isinstance(error, dict):
+        return ProtocolError("server sent an id-0 frame that is not an error")
+    return decode_error(error)
 
 
 __all__ = ["COALESCE_BYTES", "MuxConnection"]

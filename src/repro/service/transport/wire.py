@@ -1,13 +1,9 @@
 """Binary wire codec v2: compact tag-length-value frames with string interning.
 
-The v1 wire serialised every payload as UTF-8 JSON, which made the remote
-path pay twice on every exchange: once to flatten nested explanation
-objects into throw-away dicts, and again to print/parse those dicts as
-text (entity URIs appear dozens of times per batch frame and are
-re-encoded every time).  The v2 codec replaces the *body* of a frame —
-the length-prefixed framing of :mod:`~repro.service.transport.framing` is
-unchanged — with a compact tag-length-value encoding built on stdlib
-``struct``:
+This is the body codec of every frame (the length-prefixed framing of
+:mod:`~repro.service.transport.framing` wraps it), built on stdlib
+``struct``.  It ships results as native objects instead of flattening
+them into throw-away dicts and printing those as text:
 
 * **Per-frame string table** — every string (entity/relation names, dict
   keys, operation names) is interned once per frame and referenced by
@@ -26,15 +22,16 @@ unchanged — with a compact tag-length-value encoding built on stdlib
   explanation results; the client mirrors it with a decode cache keyed on
   the blob bytes, so a warm replay moves memcpys, not codecs.
 * **Header correlation id** — a varint request id sits in the fixed
-  header (0 = none), so the multiplexed client can correlate a response
-  to its in-flight request without decoding the body on the event loop.
+  header, so the multiplexed client can correlate a response to its
+  in-flight request without decoding the body on the event loop.  Id 0
+  is reserved for the server's connection-level error frame (sent just
+  before it hangs up on a poisoned stream).
 
-A binary body always starts with the magic byte ``0xB2``, which can never
-begin a JSON object frame (v1 bodies start with ``{``), so both codecs
-coexist on one connection and a server answers each frame in the wire
-format it arrived in.  Exceeding ``max_frame_bytes`` raises
+A body always starts with the magic byte ``0xB2``; anything else is
+rejected with :class:`~repro.service.transport.framing.ProtocolError`.
+Exceeding ``max_frame_bytes`` raises
 :class:`~repro.service.transport.framing.FrameTooLargeError` at encode
-time, before any socket is touched, exactly like the JSON path.
+time, before any socket is touched.
 
 Frame body layout (after the 4-byte length prefix of the framing layer)::
 
@@ -62,17 +59,12 @@ from ...core.explanation import Explanation, MatchedPath, RelationPath
 from ...kg import Triple
 from ..observability.context import TraceContext
 from ..service import MutationSpec
-from .framing import FrameTooLargeError, ProtocolError, decode_json_body
+from .framing import FrameTooLargeError, ProtocolError
 
-#: First byte of every binary body; never the first byte of a JSON object.
+#: First byte of every frame body.
 BINARY_MAGIC = 0xB2
 #: Wire revision carried in byte 1 of every binary body.
 BINARY_VERSION = 2
-
-#: Negotiable wire names (what ``ping`` / the READY line advertise).
-WIRE_JSON = "json"
-WIRE_BINARY = "binary"
-SUPPORTED_WIRES = (WIRE_JSON, WIRE_BINARY)
 
 _DOUBLE = struct.Struct(">d")
 
@@ -333,11 +325,6 @@ def encode_binary(payload: dict, request_id: int = 0, max_frame_bytes: int | Non
     return body
 
 
-def is_binary_body(body: bytes) -> bool:
-    """True when *body* is a v2 binary frame body (magic-byte sniff)."""
-    return bool(body) and body[0] == BINARY_MAGIC
-
-
 def peek_request_id(body: bytes) -> int:
     """The header request id of a binary body, without decoding the value.
 
@@ -346,7 +333,9 @@ def peek_request_id(body: bytes) -> int:
     decode happens later, on the requesting thread.
     """
     if len(body) < 2 or body[0] != BINARY_MAGIC:
-        raise ProtocolError("not a binary frame body")
+        raise ProtocolError(
+            f"frame body does not start with the binary v2 magic 0x{BINARY_MAGIC:02X}"
+        )
     if body[1] != BINARY_VERSION:
         raise ProtocolError(
             f"binary frame announces wire version {body[1]}, this peer speaks {BINARY_VERSION}"
@@ -538,7 +527,7 @@ def decode_binary(body: bytes, blob_cache: dict | None = None) -> tuple[int, dic
     *blob_cache* (optional) maps standalone blob bytes to their decoded
     values, so repeated hot results decode once; pass a dict owned by the
     connection.  Raises :class:`ProtocolError` on malformed bodies or a
-    non-object root, mirroring the JSON path.
+    non-object root.
     """
     request_id = peek_request_id(body)
     _, offset = _read_varint(body, 2)
@@ -551,34 +540,12 @@ def decode_binary(body: bytes, blob_cache: dict | None = None) -> tuple[int, dic
     return request_id, payload
 
 
-def decode_any_body(body: bytes, blob_cache: dict | None = None) -> tuple[str, int, dict]:
-    """Decode a frame body of either wire into ``(wire, request_id, payload)``.
-
-    The first body byte picks the codec: the v2 magic means binary, a
-    ``{`` means JSON.  JSON payloads carry their correlation id (if any)
-    as an ``"id"`` member; binary payloads carry it in the header.
-    """
-    if is_binary_body(body):
-        request_id, payload = decode_binary(body, blob_cache)
-        return WIRE_BINARY, request_id, payload
-    payload = decode_json_body(body)
-    request_id = payload.get("id", 0)
-    if not isinstance(request_id, int) or isinstance(request_id, bool) or request_id < 0:
-        request_id = 0
-    return WIRE_JSON, request_id, payload
-
-
 __all__ = [
     "BINARY_MAGIC",
-    "decode_any_body",
     "BINARY_VERSION",
     "Blob",
-    "SUPPORTED_WIRES",
-    "WIRE_BINARY",
-    "WIRE_JSON",
     "decode_binary",
     "encode_binary",
     "encode_binary_value",
-    "is_binary_body",
     "peek_request_id",
 ]

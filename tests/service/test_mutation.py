@@ -15,8 +15,8 @@ Five layers of coverage:
 * **Sharded mutate + concurrency** — concurrent readers hammering the
   service throughout a mutation never observe an error or a torn result,
   and shards ∈ {1, 4} answer bit-identically after the same mutations.
-* **Wire forms** — mutation batches round-trip through the JSON v1 rows
-  and natively through the binary v2 codec; malformed rows are refused.
+* **Wire forms** — mutation batches round-trip natively through the
+  binary v2 codec; anything that is not a batch of specs is refused.
 * **Ordered log over real sockets** — a `ShardServer` acks duplicates
   idempotently, refuses sequence gaps, refuses *reads* while behind
   (``ReplicaBehindError``), and recovers once the missing entries are
@@ -54,7 +54,6 @@ from repro.service.cache import EPOCH_MODULUS, ResultCache
 from repro.service.transport.protocol import (
     OP_MUTATE,
     decode_mutations,
-    encode_mutations,
 )
 from repro.service.transport.wire import decode_binary, encode_binary
 
@@ -307,11 +306,6 @@ class TestMutationWire:
         MutationSpec(op="remove", kg=2, triple=Triple("x", "rel", "y")),
     ]
 
-    def test_json_rows_roundtrip(self):
-        rows = encode_mutations(self.SPECS)
-        assert rows == [["add", 1, "é1", "r→", "e2"], ["remove", 2, "x", "rel", "y"]]
-        assert decode_mutations(rows) == self.SPECS
-
     def test_binary_codec_ships_specs_natively(self):
         payload = {"op": OP_MUTATE, "seq": 3, "mutations": list(self.SPECS)}
         _, decoded = decode_binary(encode_binary(payload))
@@ -386,14 +380,6 @@ class TestOrderedLogServer:
         assert report["applied"] == 1
         assert dataset.kg1.version == version_before + 1
         assert client.ping()["mutation_seq"] == 0
-        client.close()
-
-    def test_mutate_capability_is_advertised(self, mutation_server):
-        _, _, _, _, address = mutation_server
-        client = RemoteShardClient(address)
-        info = client.ping()
-        assert info["mutate"] is True
-        assert info["mutation_seq"] == 0
         client.close()
 
 

@@ -8,9 +8,10 @@ Three layers of coverage:
 * **Wire behaviour over real sockets** — a `ShardServer` on a loopback
   socket (service in-process) proves backpressure and deadline errors
   cross the wire as their own exception types, oversized frames are
-  rejected before the body is read, a server dying mid-request surfaces
-  as a client error rather than a hang, and stale pooled connections
-  reconnect.
+  rejected before the body is read (and the rejection reaches the
+  multiplexed client as a typed error), a non-binary body is refused, a
+  server dying mid-request surfaces as a client error rather than a
+  hang, and a stale connection is re-dialled once.
 * **Process-per-shard integration** — `ReplicatedLocalCluster` with one
   replica per shard spawns real ``python -m repro.service serve``
   subprocesses behind a `ClusterClient`: results are
@@ -52,17 +53,17 @@ from repro.service.transport import (
     FrameTimeoutError,
     FrameTooLargeError,
     ProtocolError,
-    decode_any_body,
+    decode_binary,
     decode_error,
     decode_value,
+    encode_binary,
     encode_error,
-    encode_frame,
-    encode_value,
-    recv_frame,
+    frame_raw,
     recv_frame_raw,
-    send_frame,
+    send_raw_frame,
 )
 from repro.service.transport.protocol import OP_PING
+from repro.service.transport.wire import BINARY_MAGIC, encode_binary_value
 
 
 def predicted_pairs(model, limit=20):
@@ -112,10 +113,20 @@ class FakePeer:
         assert not any(handler.is_alive() for handler in self._handlers)
 
 
-def recv_request(conn):
-    """The next request from either wire codec (``None`` on a clean EOF)."""
+def send_payload(conn, payload, request_id=0):
+    """Write *payload* as one binary frame tagged with *request_id*."""
+    send_raw_frame(conn, frame_raw(encode_binary(payload, request_id)))
+
+
+def recv_payload(conn):
+    """The next frame as ``(request_id, payload)`` (``None`` on a clean EOF)."""
     body = recv_frame_raw(conn)
-    return None if body is None else decode_any_body(body)[2]
+    return None if body is None else decode_binary(body)
+
+
+def roundtrip(value):
+    """*value* after one trip through the binary codec."""
+    return decode_binary(encode_binary({"ok": value}))[1]["ok"]
 
 
 def identity(shard_id=0, num_shards=1):
@@ -131,54 +142,52 @@ class TestFraming:
         left, right = socket.socketpair()
         with left, right:
             payload = {"op": "ping", "nested": {"values": [1, 2.5, "x"]}}
-            send_frame(left, payload)
-            assert recv_frame(right) == payload
+            send_payload(left, payload, request_id=7)
+            assert recv_payload(right) == (7, payload)
 
     def test_multiple_frames_are_self_delimiting(self):
         left, right = socket.socketpair()
         with left, right:
             for index in range(3):
-                send_frame(left, {"index": index})
+                send_payload(left, {"index": index}, request_id=index + 1)
             for index in range(3):
-                assert recv_frame(right) == {"index": index}
+                assert recv_payload(right) == (index + 1, {"index": index})
 
     def test_clean_eof_between_frames_returns_none(self):
         left, right = socket.socketpair()
         with right:
-            send_frame(left, {"op": "last"})
+            send_payload(left, {"op": "last"})
             left.close()
-            assert recv_frame(right) == {"op": "last"}
-            assert recv_frame(right) is None
+            assert recv_payload(right) == (0, {"op": "last"})
+            assert recv_payload(right) is None
 
     def test_truncated_frame_raises(self):
         left, right = socket.socketpair()
         with right:
-            frame = encode_frame({"op": "ping"})
+            frame = frame_raw(encode_binary({"op": "ping"}))
             left.sendall(frame[: len(frame) - 2])  # drop the final bytes
             left.close()
             with pytest.raises(ConnectionClosedError):
-                recv_frame(right)
+                recv_frame_raw(right)
 
     def test_oversized_outgoing_frame_rejected_before_send(self):
-        left, right = socket.socketpair()
-        with left, right:
-            with pytest.raises(FrameTooLargeError):
-                send_frame(left, {"blob": "x" * 2048}, max_frame_bytes=1024)
+        with pytest.raises(FrameTooLargeError):
+            frame_raw(encode_binary({"blob": "x" * 2048}), max_frame_bytes=1024)
 
     def test_oversized_incoming_frame_rejected_before_body_read(self):
         left, right = socket.socketpair()
         with left, right:
             left.sendall(struct.pack(">I", 512 * 1024 * 1024))  # announce 512 MiB
             with pytest.raises(FrameTooLargeError):
-                recv_frame(right, max_frame_bytes=1024)
+                recv_frame_raw(right, max_frame_bytes=1024)
 
     def test_non_object_payload_rejected(self):
         left, right = socket.socketpair()
         with left, right:
-            body = b"[1, 2, 3]"
-            left.sendall(struct.pack(">I", len(body)) + body)
-            with pytest.raises(ProtocolError):
-                recv_frame(right)
+            body = bytes([BINARY_MAGIC, 2, 0]) + encode_binary_value([1, 2, 3]).data
+            send_raw_frame(left, frame_raw(body))
+            with pytest.raises(ProtocolError, match="object"):
+                recv_payload(right)
 
 
 # ----------------------------------------------------------------------
@@ -201,21 +210,23 @@ def _sample_explanation() -> Explanation:
 class TestCodec:
     def test_explanation_roundtrips_equal(self):
         explanation = _sample_explanation()
-        import json
-
-        wire = json.loads(json.dumps(encode_value(EXPLAIN, explanation)))
-        assert decode_value(EXPLAIN, wire) == explanation
+        assert decode_value(EXPLAIN, roundtrip(explanation)) == explanation
 
     def test_confidence_float_is_exact(self):
-        import json
-
         value = 0.1 + 0.2  # a double with no short decimal form
-        wire = json.loads(json.dumps(encode_value(CONFIDENCE, value)))
-        assert decode_value(CONFIDENCE, wire) == value
+        assert decode_value(CONFIDENCE, roundtrip(value)) == value
 
     def test_verify_bool(self):
-        assert decode_value(VERIFY, encode_value(VERIFY, True)) is True
-        assert decode_value(VERIFY, encode_value(VERIFY, False)) is False
+        assert decode_value(VERIFY, roundtrip(True)) is True
+        assert decode_value(VERIFY, roundtrip(False)) is False
+
+    @pytest.mark.parametrize(
+        "kind, value",
+        [(EXPLAIN, {"source": "a"}), (CONFIDENCE, "0.5"), (VERIFY, 1)],
+    )
+    def test_mistyped_result_is_a_protocol_error(self, kind, value):
+        with pytest.raises(ProtocolError, match=kind):
+            decode_value(kind, value)
 
     @pytest.mark.parametrize(
         "error",
@@ -322,11 +333,54 @@ class TestWireErrors:
         host, port = address.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=10) as conn:
             conn.sendall(struct.pack(">I", 200 * 1024 * 1024))  # announce 200 MiB
-            response = recv_frame(conn)
-            assert response is not None and "error" in response
+            request_id, response = recv_payload(conn)
+            assert request_id == 0  # the connection-level error frame
             assert isinstance(decode_error(response["error"]), FrameTooLargeError)
             # The poisoned connection is then closed server-side.
-            assert recv_frame(conn) is None
+            assert recv_frame_raw(conn) is None
+
+    def test_json_body_gets_a_protocol_error_frame_then_close(self, loopback_server):
+        """A body without the binary magic comes from outside the program:
+        it is answered with a typed error, never a hang."""
+        _, _, address = loopback_server
+        host, port = address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            body = b'{"op": "ping"}'
+            conn.sendall(struct.pack(">I", len(body)) + body)
+            request_id, response = recv_payload(conn)
+            assert request_id == 0
+            assert type(decode_error(response["error"])) is ProtocolError
+            assert recv_frame_raw(conn) is None
+
+    def test_oversized_request_is_a_typed_error_on_the_mux(
+        self, fitted_model, service_dataset
+    ):
+        """The server's connection-level rejection must reach the caller as
+        FrameTooLargeError — request-shaped, so it is not re-sent on a
+        fresh connection."""
+        dialled = []
+
+        class CountingServer(ShardServer):
+            def _serve_connection(self, conn):
+                dialled.append(conn)
+                super()._serve_connection(conn)
+
+        service = ExplanationService(fitted_model, service_dataset, ServiceConfig(num_workers=1))
+        server = CountingServer(service, max_frame_bytes=4096)
+        address = server.bind("127.0.0.1:0")
+        server.start_in_thread()
+        client = RemoteShardClient(address, timeout=10)
+        try:
+            with pytest.raises(FrameTooLargeError):
+                client.call({"op": OP_PING, "blob": "x" * 20000})
+            assert len(dialled) == 1  # the peer saw the request once
+            assert client.wire_counters.raw()["frames_sent"] == 1
+            # The next call dials a fresh connection and succeeds.
+            assert client.ping()["shard_id"] == 0
+        finally:
+            client.close()
+            server.stop()
+            service.close(drain=False)
 
     def test_oversized_response_reported_as_error_not_dropped_connection(
         self, fitted_model, service_dataset
@@ -336,20 +390,22 @@ class TestWireErrors:
         service = ExplanationService(
             fitted_model, service_dataset, ServiceConfig(num_workers=1)
         ).start()
-        server = ShardServer(service, max_frame_bytes=256)  # JSON responses won't fit
+        # Pings fit the bound; a 2-explanation batch response cannot.
+        server = ShardServer(service, max_frame_bytes=256)
         address = server.bind("127.0.0.1:0")
         server.start_in_thread()
+        client = RemoteShardClient(address, timeout=30)
         try:
-            pair = predicted_pairs(fitted_model, limit=1)[0]
-            # Pin json: the interned binary encoding fits the same result
-            # under 256 bytes (the v2 suite covers its oversized path).
-            client = RemoteShardClient(address, timeout=30, wire="json", mux=False)
+            pairs = predicted_pairs(fitted_model, limit=2)
+            assert client.ping()["shard_id"] == 0
+            connection = client._mux_conn
             with pytest.raises(FrameTooLargeError):
-                client.call({"op": EXPLAIN, "source": pair[0], "target": pair[1]})
+                client.call({"op": "batch", "items": [[EXPLAIN, s, t] for s, t in pairs]})
             # The connection survived; small exchanges still work on it.
             assert client.ping()["shard_id"] == 0
-            client.close()
+            assert client._mux_conn is connection and not connection.dead
         finally:
+            client.close()
             server.stop()
             service.close(drain=False)
 
@@ -391,6 +447,23 @@ class TestWireErrors:
         finally:
             server.stop()
             service.close(drain=False)
+
+    def test_topology_check_refuses_another_protocol_revision(self):
+        def answer_as_revision_one(conn):
+            with conn:
+                while (request := recv_payload(conn)) is not None:
+                    request_id, _ = request
+                    send_payload(conn, {"ok": {**identity(), "protocol": 1}}, request_id)
+
+        peer = FakePeer(answer_as_revision_one)
+        try:
+            with pytest.raises(
+                RemoteTransportError,
+                match=f"speaks protocol 1, this client speaks {PROTOCOL_VERSION}",
+            ):
+                ClusterClient(topology_for_endpoints([[peer.address]]), timeout=10)
+        finally:
+            peer.close()
 
     def test_topology_check_refuses_shards_serving_different_datasets(
         self, fitted_model, service_dataset
@@ -471,7 +544,7 @@ class TestWireErrors:
 class TestConnectionFailures:
     def test_mid_request_server_death_is_an_error_not_a_hang(self):
         def read_then_die(conn):
-            recv_request(conn)  # read the request in full ...
+            recv_payload(conn)  # read the request in full ...
             conn.close()  # ... and die without replying
 
         peer = FakePeer(read_then_die)
@@ -489,16 +562,15 @@ class TestConnectionFailures:
 
         def answer_short(conn):
             with conn:
-                while (request := recv_request(conn)) is not None:
-                    if request["op"] == OP_PING:  # topology check + manager probes
-                        send_frame(conn, {"ok": identity()})
+                while (request := recv_payload(conn)) is not None:
+                    request_id, payload = request
+                    if payload["op"] == OP_PING:  # topology check + manager probes
+                        send_payload(conn, {"ok": identity()}, request_id)
                     else:  # the batch request: 1 slot for 2 items
-                        send_frame(conn, {"results": [{"ok": True}]})
+                        send_payload(conn, {"results": [{"ok": True}]}, request_id)
 
         peer = FakePeer(answer_short)
-        client = ClusterClient(
-            topology_for_endpoints([[peer.address]]), timeout=10, wire="json", mux=False
-        )
+        client = ClusterClient(topology_for_endpoints([[peer.address]]), timeout=10)
         with pytest.raises(ProtocolError, match="batch"):
             client.replay([(VERIFY, "a", "b"), (VERIFY, "c", "d")])
         client.close()
@@ -512,20 +584,21 @@ class TestConnectionFailures:
         with pytest.raises(RemoteTransportError):
             RemoteShardClient(f"127.0.0.1:{free_port}", timeout=5).call({"op": OP_PING})
 
-    def test_stale_pooled_connection_reconnects(self, loopback_server):
-        _, _, address = loopback_server
-        # Pin the v1 pooled transport: the test reaches into `_pool`.
-        client = RemoteShardClient(address, timeout=10, wire="json", mux=False)
+    def test_stale_connection_reconnects(self, loopback_server):
+        _, server, address = loopback_server
+        client = RemoteShardClient(address, timeout=10)
         assert client.ping()["shard_id"] == 0
-        # Sever the pooled socket under the client; the next call must
+        stale = client._mux_conn
+        # Sever the connection from the server side; the next call must
         # notice the stale connection, re-dial and succeed.
-        assert len(client._pool) == 1
-        client._pool[0].close()
+        for conn in list(server._connections):
+            conn.shutdown(socket.SHUT_RDWR)
         assert client.ping()["shard_id"] == 0
+        assert client._mux_conn is not stale and not client._mux_conn.dead
         client.close()
 
-    def test_server_killed_pooled_socket_retries_on_fresh_dial(self):
-        """A pooled socket the SERVER closed between two requests must be
+    def test_server_killed_socket_retries_on_fresh_dial(self):
+        """A connection the SERVER closed between two requests must be
         detected as stale and the request retried once on a fresh dial —
         the explicit unit for what the kill-shard test only exercises
         implicitly."""
@@ -534,25 +607,23 @@ class TestConnectionFailures:
 
         def serve_one_then_hang_up(conn):
             # Each accepted connection answers exactly one frame and is
-            # then closed server-side — every pooled socket goes stale
-            # after its first use (an idle-connection reaper in miniature).
+            # then closed server-side — every connection goes stale after
+            # its first use (an idle-connection reaper in miniature).
             connections_seen.append(conn)
             with conn:
-                request = recv_frame(conn)
+                request = recv_payload(conn)
                 if request is None:
                     return
-                requests_answered.append(request)
-                send_frame(conn, {"ok": {"shard_id": 0, "echo": request.get("n")}})
+                request_id, payload = request
+                requests_answered.append(payload)
+                send_payload(conn, {"ok": {"shard_id": 0, "echo": payload.get("n")}}, request_id)
 
         peer = FakePeer(serve_one_then_hang_up)
-        # Pin json/no-mux: the fake server counts connections, and a
-        # negotiation ping would add one.
-        client = RemoteShardClient(peer.address, timeout=10, wire="json", mux=False)
+        client = RemoteShardClient(peer.address, timeout=10)
         first = client.call({"op": OP_PING, "n": 1})
         assert first["echo"] == 1
-        assert len(client._pool) == 1  # the (already dead) socket went back
-        # The second request checks out the stale socket, fails, and must
-        # transparently retry on a fresh connection — not surface an error.
+        # The second request finds the connection stale and must
+        # transparently reach a fresh one — not surface an error.
         second = client.call({"op": OP_PING, "n": 2})
         assert second["echo"] == 2
         assert len(connections_seen) == 2  # one re-dial, no more
@@ -568,13 +639,11 @@ class TestConnectionFailures:
 
         def read_and_stall(conn):
             with conn:
-                requests_seen.append(recv_frame(conn))
+                requests_seen.append(recv_payload(conn))
                 release.wait(timeout=30)  # never answer within the client timeout
 
         peer = FakePeer(read_and_stall)
-        # Pin json/no-mux so the stalled frame is the request itself, not
-        # a negotiation ping.
-        client = RemoteShardClient(peer.address, timeout=10, wire="json", mux=False)
+        client = RemoteShardClient(peer.address, timeout=10)
         start = time.monotonic()
         with pytest.raises(FrameTimeoutError):
             client.call({"op": OP_PING}, timeout=0.5)
@@ -585,20 +654,16 @@ class TestConnectionFailures:
         peer.close()
         assert len(requests_seen) == 1  # the request was never re-sent
 
-    def test_local_oversized_request_spares_the_pooled_connection(self, loopback_server):
+    def test_local_oversized_request_spares_the_mux(self, loopback_server):
         """An oversized request must fail before touching any socket."""
         _, _, address = loopback_server
-        # Pin the v1 pooled transport: the test reaches into `_pool`.
-        client = RemoteShardClient(
-            address, timeout=10, max_frame_bytes=512, wire="json", mux=False
-        )
+        client = RemoteShardClient(address, timeout=10, max_frame_bytes=512)
         assert client.ping()["shard_id"] == 0
-        assert len(client._pool) == 1
-        pooled = client._pool[0]
+        connection = client._mux_conn
         with pytest.raises(FrameTooLargeError):
             client.call({"op": OP_PING, "blob": "x" * 2048})
-        # The pooled connection was neither consumed nor replaced ...
-        assert client._pool == [pooled]
+        # The connection was neither broken nor replaced ...
+        assert client._mux_conn is connection and not connection.dead
         # ... and still works.
         assert client.ping()["shard_id"] == 0
         client.close()

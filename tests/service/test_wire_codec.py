@@ -8,19 +8,17 @@ Four layers of coverage:
   ``encode_binary``/``decode_binary``; equal explanations encode to
   *identical bytes* regardless of candidate-set iteration order (what
   the blob caches key on); malformed and oversized bodies are rejected
-  with the same typed errors as the JSON path.
+  with typed errors.
 * **Blob splicing** — pre-encoded values splice into frames and decode
   back equal; the decode cache returns the cached object on a repeat.
 * **Mux connection behaviour** — out-of-order completion over one
-  socket, per-request deadlines that do NOT kill the connection, and a
-  peer death that fails every in-flight request.
-* **Negotiation over real servers** — an auto client upgrades to
-  binary+mux against a capable server, negotiates down to JSON/pooled
-  against a ``wires=("json",)`` server, and both transports return
-  equal results; wire telemetry surfaces through ``stats_snapshot``.
+  socket, per-request deadlines that do NOT kill the connection, a peer
+  death that fails every in-flight request, and a connection-level
+  (id 0) error frame that fails them with its typed error.
+* **Wire telemetry against a real server** — both directions' counters
+  surface through the client and the server stats.
 """
 
-import json
 import random
 import socket
 import threading
@@ -46,7 +44,6 @@ from repro.service.transport import (
     FrameTooLargeError,
     MuxConnection,
     ProtocolError,
-    decode_any_body,
     decode_binary,
     encode_binary,
     encode_binary_value,
@@ -55,13 +52,8 @@ from repro.service.transport import (
     recv_frame_raw,
     send_raw_frame,
 )
-from repro.service.transport.protocol import OP_PING, decode_error, decode_value
-from repro.service.transport.wire import (
-    BINARY_MAGIC,
-    Blob,
-    is_binary_body,
-    peek_request_id,
-)
+from repro.service.transport.protocol import OP_PING, decode_error
+from repro.service.transport.wire import BINARY_MAGIC, Blob, peek_request_id
 
 UNICODE_NAMES = [
     "实体/甲",
@@ -155,7 +147,7 @@ class TestBinaryCodec:
         }
         request_id = rng.randrange(0, 2**40)
         body = encode_binary(payload, request_id)
-        assert is_binary_body(body)
+        assert body[0] == BINARY_MAGIC
         assert peek_request_id(body) == request_id
         decoded_id, decoded = decode_binary(body)
         assert decoded_id == request_id
@@ -209,15 +201,6 @@ class TestBinaryCodec:
         )
         assert explanation == reordered
         assert encode_binary_value(explanation).data == encode_binary_value(reordered).data
-
-    def test_binary_and_json_decode_to_equal_payloads(self):
-        """The two codecs are interchangeable for JSON-expressible data."""
-        payload = {"op": "ping", "nested": {"values": [1, 2.5, "x", None, True]}}
-        _, _, from_binary = decode_any_body(encode_binary(payload))
-        _, _, from_json = decode_any_body(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
-        assert from_binary == from_json == payload
 
     def test_oversized_binary_frame_rejected_at_encode_time(self):
         with pytest.raises(FrameTooLargeError):
@@ -308,7 +291,7 @@ class TestBlobSplicing:
 # ----------------------------------------------------------------------
 def _mux_pair():
     left, right = socket.socketpair()
-    return MuxConnection(left, wire="binary"), right
+    return MuxConnection(left), right
 
 
 class TestMuxConnection:
@@ -387,6 +370,35 @@ class TestMuxConnection:
         finally:
             conn.close()
 
+    def test_connection_error_frame_fails_every_inflight_request_typed(self):
+        """An id-0 frame is the server's connection-level error: every
+        in-flight request fails with its typed error, not a generic
+        connection-closed one."""
+        conn, peer = _mux_pair()
+        try:
+
+            def read_two_then_refuse():
+                for _ in range(2):
+                    recv_frame_raw(peer)
+                error = encode_error(FrameTooLargeError("too big"))
+                send_raw_frame(peer, frame_raw(encode_binary({"error": error}, 0)))
+
+            responder = threading.Thread(target=read_two_then_refuse, daemon=True)
+            responder.start()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [
+                    pool.submit(conn.request, {"op": OP_PING, "n": n}, 30.0)
+                    for n in (1, 2)
+                ]
+                for future in futures:
+                    with pytest.raises(FrameTooLargeError, match="too big"):
+                        future.result(timeout=30)
+            responder.join(timeout=10)
+            assert conn.dead
+        finally:
+            conn.close()
+            peer.close()
+
     def test_close_fails_pending_and_refuses_new_requests(self):
         conn, peer = _mux_pair()
         try:
@@ -404,11 +416,11 @@ class TestMuxConnection:
 
 
 # ----------------------------------------------------------------------
-# Negotiation + telemetry against real servers
+# Telemetry against a real server
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def running_server(fitted_model, service_dataset):
-    """A started service behind a full-capability server (binary + mux)."""
+    """A started service behind a loopback server."""
     service = ExplanationService(
         fitted_model, service_dataset, ServiceConfig(num_workers=2)
     ).start()
@@ -420,120 +432,8 @@ def running_server(fitted_model, service_dataset):
     service.close(drain=False)
 
 
-@pytest.fixture()
-def json_only_server(fitted_model, service_dataset):
-    """An old-style peer: JSON frames only, no mux (the v1 wire)."""
-    service = ExplanationService(
-        fitted_model, service_dataset, ServiceConfig(num_workers=2)
-    ).start()
-    server = ShardServer(service, shard_id=0, num_shards=1, wires=("json",), mux=False)
-    address = server.bind("127.0.0.1:0")
-    server.start_in_thread()
-    yield server, address
-    server.stop()
-    service.close(drain=False)
-
-
 def predicted_pairs(model, limit=20):
     return sorted(model.predict().pairs)[:limit]
-
-
-class TestNegotiation:
-    def test_auto_client_upgrades_against_a_capable_server(self, running_server):
-        _, address = running_server
-        client = RemoteShardClient(address, timeout=30, wire="auto", mux=None)
-        try:
-            assert client.negotiated_transport() == {"wire": "binary", "mux": True}
-            assert client.ping()["wires"] == ["json", "binary"]
-        finally:
-            client.close()
-
-    def test_auto_client_negotiates_down_against_a_json_server(self, json_only_server):
-        _, address = json_only_server
-        client = RemoteShardClient(address, timeout=30, wire="auto", mux=None)
-        try:
-            assert client.negotiated_transport() == {"wire": "json", "mux": False}
-            assert client.ping()["shard_id"] == 0
-        finally:
-            client.close()
-
-    def test_json_server_rejects_binary_frames_with_a_protocol_error(
-        self, json_only_server
-    ):
-        _, address = json_only_server
-        client = RemoteShardClient(address, timeout=30, wire="binary", mux=False)
-        try:
-            with pytest.raises(ProtocolError, match="binary wire disabled"):
-                client.ping()
-        finally:
-            client.close()
-
-    def test_results_are_bit_identical_across_wires(
-        self, running_server, fitted_model
-    ):
-        """The acceptance contract: every transport/codec combination
-        returns EQUAL results for the same pairs."""
-        _, address = running_server
-        pairs = predicted_pairs(fitted_model, limit=20)
-        variants = {
-            "json-pooled": RemoteShardClient(address, timeout=30, wire="json", mux=False),
-            "binary-pooled": RemoteShardClient(
-                address, timeout=30, wire="binary", mux=False
-            ),
-            "binary-mux": RemoteShardClient(address, timeout=30, wire="binary", mux=True),
-            "negotiated": RemoteShardClient(address, timeout=30, wire="auto", mux=None),
-        }
-        try:
-            # `call` returns the raw wire value (a dict on the JSON path, a
-            # decoded Explanation on the binary path); decode_value folds
-            # both into the object the facade hands callers.
-            reference = [
-                decode_value(
-                    EXPLAIN,
-                    variants["json-pooled"].call(
-                        {"op": EXPLAIN, "source": source, "target": target}
-                    ),
-                )
-                for source, target in pairs
-            ]
-            for name, client in variants.items():
-                if name == "json-pooled":
-                    continue
-                for pair, expected in zip(pairs, reference):
-                    value = decode_value(
-                        EXPLAIN,
-                        client.call({"op": EXPLAIN, "source": pair[0], "target": pair[1]}),
-                    )
-                    assert value == expected, f"{name} diverged on {pair}"
-        finally:
-            for client in variants.values():
-                client.close()
-
-    def test_binary_oversized_response_is_an_error_frame_not_a_hangup(
-        self, fitted_model, service_dataset
-    ):
-        service = ExplanationService(
-            fitted_model, service_dataset, ServiceConfig(num_workers=1)
-        ).start()
-        # Pings (~190 bytes) fit the bound; explanation results never do.
-        server = ShardServer(service, max_frame_bytes=256)
-        address = server.bind("127.0.0.1:0")
-        server.start_in_thread()
-        try:
-            pairs = predicted_pairs(fitted_model, limit=2)
-            client = RemoteShardClient(address, timeout=30, wire="binary", mux=True)
-            with pytest.raises(FrameTooLargeError):
-                # The 2-item batch request (~110 bytes) fits the bound;
-                # its 2-explanation response (~330+ bytes) cannot.
-                client.call(
-                    {"op": "batch", "items": [[EXPLAIN, s, t] for s, t in pairs]}
-                )
-            # The mux connection survived the per-request failure.
-            assert client.ping()["shard_id"] == 0
-            client.close()
-        finally:
-            server.stop()
-            service.close(drain=False)
 
 
 class TestWireTelemetry:
