@@ -209,9 +209,12 @@ class ExplanationEngine:
         neighbourhood, can only have changed if some mutated edge lies
         within ``max_hops`` of it, i.e. if the entity is in the ball.
         Embedding rows of surviving blocks stay valid because the store is
-        not reset.  The integer id maps are always rebuilt: entity/relation
-        ids shift when the inventory grows.  If a log cannot cover the
-        span, fall back to the pre-PR-8 wholesale drop.
+        not reset.  A side's entity/relation id maps survive unless its
+        inventory grew (ids follow sorted order, so they shift only then;
+        inventories never shrink, so equal sizes mean equal inventories).
+        The per-triple relation ids are always rebuilt, because triple ids
+        shift with every add or remove.  If a log cannot cover the span,
+        fall back to the wholesale drop.
         """
         versions = (self.dataset.kg1.version, self.dataset.kg2.version)
         if self.model.embedding_version != self._model_version:
@@ -237,7 +240,12 @@ class ExplanationEngine:
                 del self._path_lists[key]
             for key in [k for k in self._path_rows if k[0] == side and k[1] in affected]:
                 self._dead_store_rows += len(self._path_rows.pop(key))
-        self._id_maps.clear()
+        for side, kg in ((1, self.dataset.kg1), (2, self.dataset.kg2)):
+            maps = self._id_maps.get(side)
+            if maps is not None and (
+                len(maps[0]) != kg.num_entities() or len(maps[1]) != kg.num_relations()
+            ):
+                del self._id_maps[side]
         self._triple_relation_ids.clear()
         self._kg_versions = versions
         # Reclaim the store once evicted blocks dominate the live rows.

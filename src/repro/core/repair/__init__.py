@@ -15,7 +15,9 @@ from .rules import (
     RelationAlignment,
     mine_not_same_as_rules,
     mine_relation_alignment,
+    not_same_as_rules,
     relation_name_similarity,
+    shared_relation_alignment,
 )
 
 __all__ = [
@@ -34,8 +36,10 @@ __all__ = [
     "cross_kg_triples_for_entity",
     "mine_not_same_as_rules",
     "mine_relation_alignment",
+    "not_same_as_rules",
     "relation_name_similarity",
     "repair_one_to_many",
     "resolve_to_one_to_one",
+    "shared_relation_alignment",
     "translate_triple",
 ]

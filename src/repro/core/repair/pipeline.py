@@ -26,8 +26,8 @@ from .relation_conflicts import RelationConflictResolver
 from .rules import (
     NotSameAsRuleSet,
     RelationAlignment,
-    mine_not_same_as_rules,
-    mine_relation_alignment,
+    not_same_as_rules,
+    shared_relation_alignment,
 )
 
 
@@ -110,12 +110,15 @@ class EARepairer:
         )
 
     def _ensure_mined_fresh(self) -> None:
-        """Drop mined artefacts when either graph or the model moved on.
+        """Drop the held mined artefacts when either graph or the model moved on.
 
-        The relation alignment and ¬sameAs rule sets are mined from the
-        *whole* graphs (relation inventories, full triple scans), so any
-        mutation can change them; re-mining lazily under the current token
-        keeps live results bit-identical with a cold rebuild.
+        The relation alignment and ¬sameAs rule sets are global functions
+        of the graphs, so any mutation can change them.  Dropping the held
+        references makes the next access read the current values from the
+        shared, incrementally maintained artefacts
+        (:func:`~.rules.shared_relation_alignment`,
+        :func:`~.rules.not_same_as_rules`), which keeps live results
+        bit-identical with a cold rebuild.
         """
         if self._mined_token is not None and self._mined_token != self._token():
             self._relation_alignment = None
@@ -129,7 +132,7 @@ class EARepairer:
         """Mutual relation alignment between the two KGs (mined on first use)."""
         self._ensure_mined_fresh()
         if self._relation_alignment is None:
-            self._relation_alignment = mine_relation_alignment(
+            self._relation_alignment = shared_relation_alignment(
                 self.model, self.dataset.kg1, self.dataset.kg2
             )
             self._mined_token = self._token()
@@ -140,8 +143,8 @@ class EARepairer:
         """¬sameAs rule sets of the two KGs (mined on first use)."""
         self._ensure_mined_fresh()
         if self._rules_kg1 is None or self._rules_kg2 is None:
-            self._rules_kg1 = mine_not_same_as_rules(self.dataset.kg1)
-            self._rules_kg2 = mine_not_same_as_rules(self.dataset.kg2)
+            self._rules_kg1 = not_same_as_rules(self.dataset.kg1)
+            self._rules_kg2 = not_same_as_rules(self.dataset.kg2)
             self._mined_token = self._token()
         return self._rules_kg1, self._rules_kg2
 
@@ -160,10 +163,12 @@ class EARepairer:
         return self._conflict_resolver
 
     def _mined_artifacts_changed(self) -> bool:
-        """Re-mine under the current graphs; True when any artefact differs.
+        """Read the current artefacts; True when any differs from the held one.
 
         Artefacts that were never mined cannot have influenced any cached
-        confidence, so they do not count as changed.
+        confidence, so they do not count as changed.  The shared artefacts
+        advance incrementally and hand back the same snapshot while they
+        are unchanged, so this costs the mutated subjects, not a rescan.
         """
         old_alignment = self._relation_alignment
         old_rules = (self._rules_kg1, self._rules_kg2)
@@ -286,13 +291,17 @@ class EARepairer:
         A model refit drops everything (including the similarity cache).
         A pure KG mutation tries the scoped path: when both graphs'
         mutation logs cover the span *and* the mined reasoning artefacts
-        re-mine to the same values, only entries whose pair falls inside
-        the relation-seeded blast radius are evicted — confidence depends
-        on the global functionality statistics of mutated relations, so
-        the ball is seeded with every endpoint of every triple carrying a
-        mutated relation (see :meth:`KnowledgeGraph.blast_radius`).  If a
-        log cannot cover the span or the mined artefacts shifted (they are
-        global functions of the graphs), fall back to the wholesale drop.
+        are unchanged (:meth:`_mined_artifacts_changed` reads the shared,
+        incrementally maintained ones; it does not re-mine), only entries
+        whose pair falls inside the relation-seeded blast radius are
+        evicted — confidence depends on the global functionality
+        statistics of mutated relations, so the ball is seeded with every
+        endpoint of every triple carrying a mutated relation.  The ball is
+        the graph's memoized one (see :meth:`KnowledgeGraph.blast_radius`),
+        shared with the service and every other backend for the same
+        write.  If a log cannot cover the span or the mined artefacts
+        shifted (they are global functions of the graphs), fall back to
+        the wholesale drop.
         """
         old = self._confidence_token
         self._confidence_token = token

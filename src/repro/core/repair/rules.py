@@ -17,8 +17,11 @@ Two ingredients feed the relation-alignment conflict detector:
 
 from __future__ import annotations
 
+import threading
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -124,21 +127,27 @@ class NotSameAsRule:
 
 
 class NotSameAsRuleSet:
-    """Set of ¬sameAs rules mined from one KG, indexed for fast lookup."""
+    """Immutable set of ¬sameAs rules mined from one KG, indexed for fast lookup.
 
-    def __init__(self, rules: list[NotSameAsRule] | None = None) -> None:
-        self._pairs: set[frozenset[str]] = set()
-        for rule in rules or []:
-            self.add(rule)
+    Rules are unordered relation pairs, stored as sorted tuples.
+    """
 
-    def add(self, rule: NotSameAsRule) -> None:
-        self._pairs.add(frozenset((rule.relation1, rule.relation2)))
+    def __init__(self, rules: Iterable[NotSameAsRule] = ()) -> None:
+        self._pairs: frozenset[tuple[str, str]] = frozenset(
+            _pair(rule.relation1, rule.relation2) for rule in rules
+        )
+
+    @classmethod
+    def _of_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "NotSameAsRuleSet":
+        rules = cls()
+        rules._pairs = frozenset(pairs)
+        return rules
 
     def applies(self, relation1: str, relation2: str) -> bool:
         """True if a rule exists for the (unordered) relation pair."""
         if relation1 == relation2:
             return False
-        return frozenset((relation1, relation2)) in self._pairs
+        return _pair(relation1, relation2) in self._pairs
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -146,14 +155,18 @@ class NotSameAsRuleSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NotSameAsRuleSet):
             return NotImplemented
-        return self._pairs == other._pairs
+        return self is other or self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._pairs))
+        return hash(self._pairs)
 
     def __iter__(self):
-        for pair in sorted(tuple(sorted(p)) for p in self._pairs):
+        for pair in sorted(self._pairs):
             yield NotSameAsRule(*pair)
+
+
+def _pair(relation1: str, relation2: str) -> tuple[str, str]:
+    return (relation1, relation2) if relation1 <= relation2 else (relation2, relation1)
 
 
 def mine_not_same_as_rules(kg: KnowledgeGraph) -> NotSameAsRuleSet:
@@ -165,19 +178,23 @@ def mine_not_same_as_rules(kg: KnowledgeGraph) -> NotSameAsRuleSet:
        objects can clearly coincide;
     2. at least one subject has both relations with different objects — the
        "real rule instance" filter the paper adds to avoid vacuous rules.
+
+    This scans every triple.  Callers that follow a live graph read
+    :func:`not_same_as_rules` instead; this from-scratch miner is the
+    reference it is tested against.
     """
     # subject -> relation -> objects
     objects_by_subject: dict[str, dict[str, set[str]]] = defaultdict(lambda: defaultdict(set))
     for triple in kg.triples:
         objects_by_subject[triple.head][triple.relation].add(triple.tail)
 
-    candidate_pairs: set[frozenset[str]] = set()
-    violating_pairs: set[frozenset[str]] = set()
+    candidate_pairs: set[tuple[str, str]] = set()
+    violating_pairs: set[tuple[str, str]] = set()
     for relation_objects in objects_by_subject.values():
         relations = sorted(relation_objects)
         for i, relation1 in enumerate(relations):
             for relation2 in relations[i + 1:]:
-                pair = frozenset((relation1, relation2))
+                pair = (relation1, relation2)
                 objects1 = relation_objects[relation1]
                 objects2 = relation_objects[relation2]
                 if objects1 & objects2:
@@ -187,8 +204,153 @@ def mine_not_same_as_rules(kg: KnowledgeGraph) -> NotSameAsRuleSet:
                 if objects1 - objects2 or objects2 - objects1:
                     candidate_pairs.add(pair)
 
-    rules = NotSameAsRuleSet()
-    for pair in candidate_pairs - violating_pairs:
-        relation1, relation2 = sorted(pair)
-        rules.add(NotSameAsRule(relation1, relation2))
-    return rules
+    return NotSameAsRuleSet._of_pairs(candidate_pairs - violating_pairs)
+
+
+class NotSameAsMiner:
+    """The ¬sameAs rules of one KG, kept current from its mutation log.
+
+    Rule support is a sum over subjects: a relation pair is a rule iff it
+    is a *candidate* on at least one subject (the subject's two object sets
+    differ) and a *violation* on none (they share an object).  The miner
+    keeps each subject's ``relation -> objects`` sets and, per relation
+    pair, how many subjects make it a candidate and a violation.  A
+    mutation of triple ``(h, r, t)`` changes only subject ``h``'s sets, so
+    advancing over :meth:`KnowledgeGraph.mutations_since` re-counts just
+    the mutated heads: their old contribution is subtracted and the
+    current one added.  When the log no longer covers the span, the miner
+    rebuilds in full.  :meth:`rules` returns an immutable snapshot, and
+    the same object for as long as the rules do not change.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._version: int | None = None
+        self._objects: dict[str, dict[str, frozenset[str]]] = {}
+        self._candidates: dict[tuple[str, str], int] = {}
+        self._violations: dict[tuple[str, str], int] = {}
+        self._rule_pairs: set[tuple[str, str]] = set()
+        self._rules = NotSameAsRuleSet()
+
+    def rules(self, kg: KnowledgeGraph) -> NotSameAsRuleSet:
+        """The rules of *kg* at its current version."""
+        with self._lock:
+            version = kg.version
+            if version != self._version:
+                records = None if self._version is None else kg.mutations_since(self._version)
+                if records is None:
+                    self._rebuild(kg)
+                else:
+                    self._recount(kg, {r.triple.head for r in records if r.triple is not None})
+                self._version = version
+            return self._rules
+
+    def _rebuild(self, kg: KnowledgeGraph) -> None:
+        """Count every subject afresh: the first read, or a span the log lost."""
+        self._objects.clear()
+        self._candidates.clear()
+        self._violations.clear()
+        self._rule_pairs.clear()
+        self._rules = NotSameAsRuleSet()
+        self._recount(kg, {triple.head for triple in kg.triples})
+
+    def _recount(self, kg: KnowledgeGraph, subjects: set[str]) -> None:
+        """Replace the contributions of *subjects* with their current ones."""
+        touched: set[tuple[str, str]] = set()
+        for subject in subjects:
+            old = self._objects.pop(subject, None)
+            if old is not None:
+                touched.update(self._count(old, -1))
+            current: dict[str, set[str]] = defaultdict(set)
+            for triple in kg.outgoing(subject):
+                current[triple.relation].add(triple.tail)
+            if current:
+                new = {relation: frozenset(objects) for relation, objects in current.items()}
+                self._objects[subject] = new
+                touched.update(self._count(new, 1))
+        changed = False
+        for pair in touched:
+            holds = pair in self._candidates and pair not in self._violations
+            if holds != (pair in self._rule_pairs):
+                changed = True
+                if holds:
+                    self._rule_pairs.add(pair)
+                else:
+                    self._rule_pairs.discard(pair)
+        if changed:
+            self._rules = NotSameAsRuleSet._of_pairs(self._rule_pairs)
+
+    def _count(
+        self, relation_objects: dict[str, frozenset[str]], delta: int
+    ) -> list[tuple[str, str]]:
+        """Add *delta* to the counts one subject contributes; returns its pairs."""
+        relations = sorted(relation_objects)
+        pairs = []
+        for i, relation1 in enumerate(relations):
+            objects1 = relation_objects[relation1]
+            for relation2 in relations[i + 1:]:
+                objects2 = relation_objects[relation2]
+                pair = (relation1, relation2)
+                pairs.append(pair)
+                if not objects1.isdisjoint(objects2):
+                    _bump(self._violations, pair, delta)
+                if objects1 != objects2:
+                    _bump(self._candidates, pair, delta)
+        return pairs
+
+
+def _bump(counts: dict[tuple[str, str], int], key: tuple[str, str], delta: int) -> None:
+    value = counts.get(key, 0) + delta
+    if value:
+        counts[key] = value
+    else:
+        del counts[key]
+
+
+#: One miner per live graph, shared by every caller in the process.  Weak
+#: keys keep the miners out of the graphs' pickles and let them go with
+#: their graphs.
+_MINERS: "weakref.WeakKeyDictionary[KnowledgeGraph, NotSameAsMiner]" = (
+    weakref.WeakKeyDictionary()
+)
+_MINERS_LOCK = threading.Lock()
+
+
+def not_same_as_rules(kg: KnowledgeGraph) -> NotSameAsRuleSet:
+    """The ¬sameAs rules of *kg* now, from the graph's shared incremental miner.
+
+    Equal to :func:`mine_not_same_as_rules` on the same graph, at the cost
+    of re-counting only the subjects mutated since the last call.
+    """
+    with _MINERS_LOCK:
+        miner = _MINERS.get(kg)
+        if miner is None:
+            miner = _MINERS[kg] = NotSameAsMiner()
+    return miner.rules(kg)
+
+
+#: model -> (key, alignment) of the last relation alignment mined for it.
+_ALIGNMENTS: "weakref.WeakKeyDictionary[EAModel, tuple[tuple, RelationAlignment]]" = (
+    weakref.WeakKeyDictionary()
+)
+_ALIGNMENTS_LOCK = threading.Lock()
+
+
+def shared_relation_alignment(
+    model: EAModel, kg1: KnowledgeGraph, kg2: KnowledgeGraph
+) -> RelationAlignment:
+    """:func:`mine_relation_alignment`, memoized per model.
+
+    The alignment depends only on the relation names of both graphs and
+    the model's relation embeddings, so it is keyed on the model's
+    ``embedding_version`` and both relation inventories.  A triple add or
+    remove changes none of them and is served from the memo.
+    """
+    key = (model.embedding_version, frozenset(kg1.relations), frozenset(kg2.relations))
+    with _ALIGNMENTS_LOCK:
+        cached = _ALIGNMENTS.get(model)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        alignment = mine_relation_alignment(model, kg1, kg2)
+        _ALIGNMENTS[model] = (key, alignment)
+        return alignment

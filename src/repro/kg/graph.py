@@ -17,7 +17,9 @@ queries on the explanation hot path:
 * ``neighbors(entity)`` — per-entity neighbour sets,
 * ``triples_within_hops(entity, h)`` — the candidate sets ``T_e``,
 * ``entities_within_hops(entity, h)`` — the matched-neighbour universe,
-* ``relation_paths(source, target, h)`` — path enumeration.
+* ``relation_paths(source, target, h)`` — path enumeration,
+* ``blast_radius(records, h)`` — the ball a write invalidates, which the
+  service and every engine backend ask for after the same write.
 
 All of these are built lazily on first use and dropped wholesale by
 :meth:`_invalidate_caches`, which every mutation (``add_triple``,
@@ -222,7 +224,7 @@ class KGIndex:
             self._walk_cache[key] = cached
         return cached
 
-    def blast_radius(self, entities: Iterable[str], hops: int) -> set[str]:
+    def blast_radius(self, entities: Iterable[str], hops: int) -> frozenset[str]:
         """Entities whose *hops*-hop neighbourhood touches any of *entities*.
 
         The ball is symmetric: an entity lies within ``hops`` of a seed iff
@@ -238,17 +240,26 @@ class KGIndex:
         used the removed edge (it would have hit one of the removed edge's
         endpoints — themselves seeds — earlier), so it survives removal.
         Unknown entity names are ignored.
+
+        The union of the per-seed balls is the ball of radius ``hops``
+        around the whole seed set, so one multi-source BFS computes it: each
+        level sweeps every triple once and marks the far endpoint of any
+        triple with one endpoint reached.
         """
-        affected: set[int] = set()
-        expanded: set[int] = set()
-        for entity in entities:
-            entity_id = self.entity_to_id.get(entity)
-            if entity_id is None or entity_id in expanded:
-                continue
-            expanded.add(entity_id)
-            seen, _ = self._bfs(entity_id, hops)
-            affected |= seen
-        return {self.entities[i] for i in affected}
+        reached = np.zeros(len(self.entities), dtype=bool)
+        seed_ids = [self.entity_to_id[e] for e in entities if e in self.entity_to_id]
+        reached[seed_ids] = True
+        size = len(set(seed_ids))
+        heads, tails = self.head_ids, self.tail_ids
+        for _ in range(hops):
+            grown = reached.copy()
+            grown[tails[reached[heads]]] = True
+            grown[heads[reached[tails]]] = True
+            grown_size = int(np.count_nonzero(grown))
+            if grown_size == size:
+                break
+            reached, size = grown, grown_size
+        return frozenset(self.entities[i] for i in np.flatnonzero(reached).tolist())
 
     def relation_paths(
         self, source_id: int, target_id: int, max_length: int
@@ -295,6 +306,7 @@ class KnowledgeGraph:
         self._hop_triples_cache: dict[tuple[str, int], frozenset[Triple]] = {}
         self._hop_entities_cache: dict[tuple[str, int], frozenset[str]] = {}
         self._path_cache: dict[tuple[str, str, int], tuple[tuple[Triple, ...], ...]] = {}
+        self._blast_cache: dict[tuple[tuple[int, ...], int, bool], frozenset[str]] = {}
         for triple in make_triples(triples):
             self.add_triple(triple)
 
@@ -366,6 +378,7 @@ class KnowledgeGraph:
         self._hop_triples_cache.clear()
         self._hop_entities_cache.clear()
         self._path_cache.clear()
+        self._blast_cache.clear()
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -388,7 +401,9 @@ class KnowledgeGraph:
         about an unknown/future version) and the caller must fall back to
         wholesale invalidation.  Versions advance by exactly one per
         logged mutation, so coverage reduces to the oldest retained record
-        being at most ``version + 1``.
+        being at most ``version + 1``, and the span is the newest
+        ``current - version`` records (read from the log's end, not by a
+        scan of the whole log).
         """
         if version == self._version:
             return []
@@ -397,14 +412,14 @@ class KnowledgeGraph:
         log = self._mutation_log
         if not log or log[0].version > version + 1:
             return None
-        return [record for record in log if record.version > version]
+        return [log[i] for i in range(len(log) - (self._version - version), len(log))]
 
     def blast_radius(
         self,
         records: Iterable[MutationRecord],
         hops: int,
         include_relations: bool = False,
-    ) -> set[str]:
+    ) -> frozenset[str]:
         """Entities whose *hops*-hop neighbourhood the *records* may have changed.
 
         Unions the :meth:`KGIndex.blast_radius` balls around every mutated
@@ -422,7 +437,16 @@ class KnowledgeGraph:
         ADG edge weights of any pair whose neighbourhood contains an
         ``r``-triple — and every such pair lies within ``hops`` of one of
         those triples' endpoints.
+
+        Every holder of a derived cache asks for the same ball after a
+        write, so the result is memoized per (record span, ``hops``,
+        ``include_relations``) until the next mutation.
         """
+        records = tuple(records)
+        key = (tuple(record.version for record in records), hops, include_relations)
+        cached = self._blast_cache.get(key)
+        if cached is not None:
+            return cached
         seeds: set[str] = set()
         relations: set[str] = set()
         for record in records:
@@ -433,9 +457,9 @@ class KnowledgeGraph:
             for triple in self.triples_with_relation(relation):
                 seeds.add(triple.head)
                 seeds.add(triple.tail)
-        if not seeds:
-            return set()
-        return self.index().blast_radius(seeds, hops)
+        cached = self.index().blast_radius(seeds, hops)
+        self._blast_cache[key] = cached
+        return cached
 
     def index(self) -> KGIndex:
         """The integer adjacency snapshot, built lazily and cached until mutation."""

@@ -25,11 +25,11 @@ depends on global relation-functionality statistics) survive the
 generation change, bit-identical with a cold rebuild.  A mutation falls
 back to the pre-PR-8 wholesale drop when the mutation log cannot cover
 the span, when the mined reasoning artefacts (relation alignment /
-¬sameAs rules — global functions of the graphs) re-mine to different
-values, or when ``ServiceConfig.scoped_invalidation`` is off.  Out-of-band
-mutations (someone editing a KG without going through ``mutate``) keep
-the wholesale contract: the next lookup sees a newer token and drops
-everything.
+¬sameAs rules — global functions of the graphs, kept current
+incrementally) change, or when ``ServiceConfig.scoped_invalidation`` is
+off.  Out-of-band mutations (someone editing a KG without going through
+``mutate``) keep the wholesale contract: the next lookup sees a newer
+token and drops everything.
 
 Operations
 ----------
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core import ExEA, ExEAConfig
-from ..core.repair.rules import mine_not_same_as_rules, mine_relation_alignment
+from ..core.repair.rules import not_same_as_rules, shared_relation_alignment
 from ..core.adg import low_confidence_threshold
 from ..datasets import shard_workload
 from ..kg import AlignmentSet, EADataset, Triple
@@ -669,18 +669,22 @@ class ExplanationService:
 
         ``None`` when cr1 is disabled — the conflict resolver is never
         consulted, so no cached confidence depends on the artefacts and
-        the equality check degenerates to "unchanged".  With cr1 on this
-        re-mines (O(triples)) once per generation; the cost is what buys
-        scoped confidence eviction its correctness, because the artefacts
-        are global functions of the graphs.
+        the equality check degenerates to "unchanged".  With cr1 on the
+        artefacts are read from the shared ones every backend also reads:
+        the relation alignment is memoized on the model version and both
+        relation inventories, and each graph's ¬sameAs miner re-counts only
+        the subjects mutated since its last read.  Comparing them before
+        and after a mutation is what buys scoped confidence eviction its
+        correctness, because the artefacts are global functions of the
+        graphs.
         """
         if not self.exea_config.repair.enable_relation_conflicts:
             return None
         if self._mined_fingerprint_token != token:
             self._mined_fingerprint = (
-                mine_relation_alignment(self.model, self.dataset.kg1, self.dataset.kg2),
-                mine_not_same_as_rules(self.dataset.kg1),
-                mine_not_same_as_rules(self.dataset.kg2),
+                shared_relation_alignment(self.model, self.dataset.kg1, self.dataset.kg2),
+                not_same_as_rules(self.dataset.kg1),
+                not_same_as_rules(self.dataset.kg2),
             )
             self._mined_fingerprint_token = token
         return self._mined_fingerprint

@@ -415,6 +415,41 @@ class TestScopedEngineInvalidation:
             assert served[pair].matched_paths == cold[pair].matched_paths
             assert served[pair].candidate_triples1 == cold[pair].candidate_triples1
 
+    def test_id_maps_survive_a_toggle_and_drop_when_the_inventory_grows(
+        self, fitted_mtranse, core_dataset
+    ):
+        dataset = core_dataset.__class__(
+            core_dataset.kg1.copy(),
+            core_dataset.kg2.copy(),
+            core_dataset.train_alignment,
+            core_dataset.test_alignment,
+            name=core_dataset.name,
+        )
+        generator = ExplanationGenerator(fitted_mtranse, dataset)
+        engine = generator.engine
+        reference = generator.reference_alignment()
+        pairs = sorted(dataset.test_alignment)[:16]
+        generator.explain_pairs(pairs, reference)
+        maps = dict(engine._id_maps)
+        assert set(maps) == {1, 2}
+
+        removed = self._removed(dataset)
+        dataset.kg1.remove_triple(removed)
+        generator.explain_pairs(pairs, reference)
+        dataset.kg1.add_triple(removed)
+        served = generator.explain_pairs(pairs, reference)
+        assert engine._id_maps[1] is maps[1] and engine._id_maps[2] is maps[2]
+        cold = ExplanationGenerator(fitted_mtranse, dataset)
+        cold_results = cold.explain_pairs(pairs, cold.reference_alignment())
+        for pair in pairs:
+            assert served[pair].matched_paths == cold_results[pair].matched_paths
+
+        # A new entity shifts kg1's ids: only that side's maps are rebuilt.
+        dataset.kg1.add_entity("~isolated")
+        engine._check_versions()
+        assert 1 not in engine._id_maps
+        assert engine._id_maps[2] is maps[2]
+
     def test_uncovered_log_falls_back_to_wholesale(self, fitted_mtranse, core_dataset):
         dataset = core_dataset.__class__(
             core_dataset.kg1.copy(),

@@ -1,9 +1,16 @@
 """Tests for rule mining, conflict detection, Algorithms 1 & 2 and the pipeline."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ExEA, ExEAConfig, RepairConfig
+from repro.core.repair import rules as rules_module
 from repro.core.repair import (
     EARepairer,
     LowConfidenceRepairer,
@@ -12,12 +19,14 @@ from repro.core.repair import (
     RelationAlignment,
     mine_not_same_as_rules,
     mine_relation_alignment,
+    not_same_as_rules,
     relation_name_similarity,
     repair_one_to_many,
     resolve_to_one_to_one,
     translate_triple,
 )
 from repro.kg import AlignmentSet, KnowledgeGraph, Triple
+from repro.kg.graph import MUTATION_LOG_CAPACITY
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +115,125 @@ class TestNotSameAsRules:
         assert not rules.applies("r1", "r1")
         assert list(rules) == [NotSameAsRule("r1", "r2")]
         assert list(rules)[0].involves("r2", "r1")
+
+
+_MINER_ENTITIES = [f"e{i}" for i in range(5)]
+_MINER_RELATIONS = ["r0", "r1", "r2", "r3"]
+_miner_triples = st.tuples(
+    st.sampled_from(_MINER_ENTITIES),
+    st.sampled_from(_MINER_RELATIONS),
+    st.sampled_from(_MINER_ENTITIES),
+)
+#: (op, triple to add, index of the triple to remove, read the rules after?)
+_miner_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "add_entity"]),
+        _miner_triples,
+        st.integers(0, 63),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+def _random_toggle(kg: KnowledgeGraph, rng: random.Random) -> None:
+    triple = (
+        rng.choice(_MINER_ENTITIES),
+        rng.choice(_MINER_RELATIONS),
+        rng.choice(_MINER_ENTITIES),
+    )
+    if Triple(*triple) in kg:
+        kg.remove_triple(triple)
+    else:
+        kg.add_triple(triple)
+
+
+class TestSharedNotSameAsMiner:
+    @settings(max_examples=80, deadline=None)
+    @given(initial=st.lists(_miner_triples, max_size=12), steps=_miner_steps)
+    def test_matches_the_from_scratch_miner(self, initial, steps):
+        kg = KnowledgeGraph(initial)
+        snapshots = []
+        for op, triple, index, read in steps:
+            if op == "add":
+                kg.add_triple(triple)
+            elif op == "remove" and len(kg):
+                kg.remove_triple(sorted(kg.triples, key=Triple.as_tuple)[index % len(kg)])
+            elif op == "add_entity":
+                kg.add_entity(f"x{index}")
+            if read:
+                rules = not_same_as_rules(kg)
+                assert rules == mine_not_same_as_rules(kg)
+                snapshots.append((rules, list(rules)))
+        assert not_same_as_rules(kg) == mine_not_same_as_rules(kg)
+        # A snapshot handed out earlier is unchanged by later mutations.
+        for rules, listed in snapshots:
+            assert list(rules) == listed
+
+    def test_rebuilds_when_the_log_no_longer_covers_the_span(self):
+        rng = random.Random(3)
+        kg = KnowledgeGraph()
+        for _ in range(30):
+            _random_toggle(kg, rng)
+        first = not_same_as_rules(kg)
+        listed = list(first)
+        version = kg.version
+        for _ in range(MUTATION_LOG_CAPACITY + 10):
+            _random_toggle(kg, rng)
+        assert kg.mutations_since(version) is None
+        assert not_same_as_rules(kg) == mine_not_same_as_rules(kg)
+        assert list(first) == listed
+        # The rebuilt state keeps advancing incrementally.
+        for _ in range(20):
+            _random_toggle(kg, rng)
+            assert not_same_as_rules(kg) == mine_not_same_as_rules(kg)
+
+    def test_concurrent_readers_advance_the_miner_once(self):
+        rng = random.Random(11)
+        kg = KnowledgeGraph()
+        for _ in range(60):
+            _random_toggle(kg, rng)
+        not_same_as_rules(kg)
+        shared = rules_module._MINERS[kg]
+        readers = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                for _ in range(20):
+                    _random_toggle(kg, rng)
+                barrier = threading.Barrier(readers)
+                results = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    results.append(not_same_as_rules(kg))
+
+                threads = [threading.Thread(target=read) for _ in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == readers
+                assert all(rules == mine_not_same_as_rules(kg) for rules in results)
+                # A lost or doubled update shows in the support counts first.
+                fresh = rules_module.NotSameAsMiner()
+                fresh.rules(kg)
+                assert shared._candidates == fresh._candidates
+                assert shared._violations == fresh._violations
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_unchanged_rules_keep_the_same_snapshot(self):
+        kg = KnowledgeGraph([("a", "r1", "x"), ("a", "r2", "y")])
+        rules = not_same_as_rules(kg)
+        assert rules.applies("r1", "r2")
+        kg.add_triple(("b", "r3", "z"))
+        assert not_same_as_rules(kg) is rules
+        kg.add_triple(("a", "r2", "x"))  # a now points r1 and r2 at x
+        assert not not_same_as_rules(kg).applies("r1", "r2")
+        assert rules.applies("r1", "r2")
 
 
 # ----------------------------------------------------------------------

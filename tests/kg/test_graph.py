@@ -260,3 +260,42 @@ class TestBlastRadius:
         index = chain.index()
         assert index.blast_radius(["ghost"], hops=3) == set()
         assert index.blast_radius(["a", "a", "ghost"], hops=1) == {"a", "b"}
+
+    def test_memoized_ball_is_a_frozenset_dropped_on_the_next_mutation(self, chain):
+        base = chain.version
+        chain.remove_triple(("a", "r", "b"))
+        records = chain.mutations_since(base)
+        ball = chain.blast_radius(records, hops=1)
+        assert isinstance(ball, frozenset)
+        assert chain.blast_radius(records, hops=1) is ball
+        assert chain.blast_radius(records, hops=2) == {"a", "b", "c", "d"}
+        chain.add_triple(("a", "r2", "e"))
+        # Same records, new graph: recomputed on the post-mutation index.
+        assert chain.blast_radius(records, hops=1) == {"a", "b", "c", "e"}
+
+
+_graph_edges = st.lists(
+    st.tuples(st.integers(0, 7), st.sampled_from(["p", "q"]), st.integers(0, 7)),
+    max_size=16,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=_graph_edges,
+    seeds=st.lists(st.integers(0, 9), max_size=4),
+    hops=st.integers(0, 3),
+)
+def test_multi_source_ball_equals_union_of_single_source_balls(edges, seeds, hops):
+    kg = KnowledgeGraph(
+        [(f"n{h}", r, f"n{t}") for h, r, t in edges],
+        entities=[f"n{i}" for i in range(8)],
+    )
+    index = kg.index()
+    names = [f"n{i}" for i in seeds]  # n8, n9 are unknown to the graph
+    expected: set[str] = set()
+    for name in names:
+        if name in index.entity_to_id:
+            seen, _ = index._bfs(index.entity_to_id[name], hops)
+            expected |= {index.entities[i] for i in seen}
+    assert index.blast_radius(names, hops) == expected

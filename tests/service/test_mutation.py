@@ -28,12 +28,15 @@ Workload/mutation helpers and process-fault injection come from the
 shared ``faultlib`` harness.
 """
 
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
 from faultlib import ChaosController, dataset_copy, predicted_pairs, removal_specs
 from repro.core import ExEA
+from repro.core.repair import rules as rules_module
 from repro.datasets import replay_workload
 from repro.kg import Triple
 from repro.service import (
@@ -227,6 +230,60 @@ class TestServiceMutate:
             after = client.explain(*pair)
             assert service.stats.cache_invalidations == 1
         assert after == ExEA(model, dataset).explain(*pair)
+
+
+class TestMinedArtefactsPerWrite:
+    def test_toggle_writes_neither_rescan_nor_remine(self, private_copy, monkeypatch):
+        """Writes advance the shared ¬sameAs miners and reuse the relation
+        alignment: no from-scratch scan, one alignment mining in all."""
+        dataset, model = private_copy
+        calls: Counter = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        # Spy on every module binding of the from-scratch miners, so a
+        # caller importing one directly is counted too.
+        for name in ("mine_not_same_as_rules", "mine_relation_alignment"):
+            original = getattr(rules_module, name)
+            spy = counted(name, original)
+            for module in list(sys.modules.values()):
+                in_repro = getattr(module, "__name__", "").startswith("repro")
+                if in_repro and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(
+            rules_module.NotSameAsMiner, "_rebuild",
+            counted("rebuild", rules_module.NotSameAsMiner._rebuild),
+        )
+        pairs = predicted_pairs(model, limit=12)
+        toggled = removal_specs(dataset)[0].triple
+        # No result cache: every read reaches a worker backend, which
+        # reconciles its confidence cache with each write.
+        with ExplanationService(model, dataset, ServiceConfig(cache_capacity=0)) as service:
+            client = ExEAClient(service)
+            for pair in pairs:
+                client.confidence(*pair)
+            warm = Counter(calls)
+            for step in range(10):
+                op = "remove" if step % 2 == 0 else "add"
+                report = service.mutate([MutationSpec(op=op, kg=1, triple=toggled)])
+                assert report["scoped"] is True
+                for pair in pairs:
+                    client.confidence(*pair)
+            served = {pair: client.confidence(*pair) for pair in pairs}
+
+        assert calls["mine_not_same_as_rules"] == 0
+        assert calls["rebuild"] == warm["rebuild"]
+        assert calls["mine_relation_alignment"] == 1
+        # Fresh graph objects: the cold oracle mines its rules from scratch.
+        cold = ExEA(model, dataset_copy(dataset))
+        reference = cold.reference_alignment()
+        for pair in pairs:
+            assert served[pair] == cold.repairer.confidence(*pair, reference)
 
 
 # ----------------------------------------------------------------------
