@@ -97,6 +97,9 @@ class EARepairer:
         #: key -> (confidence, relation conflicts resolved by that ADG build)
         self._confidence_cache: dict[tuple, tuple[float, int]] = {}
         self._confidence_token: tuple[int, int, int] | None = None
+        #: mined artefacts the cached confidences resolved conflicts with
+        #: (None = no cached entry depends on them)
+        self._confidence_artifacts: tuple | None = None
         self._num_relation_conflicts = 0
 
     # ------------------------------------------------------------------
@@ -162,27 +165,25 @@ class EARepairer:
             )
         return self._conflict_resolver
 
-    def _mined_artifacts_changed(self) -> bool:
-        """Read the current artefacts; True when any differs from the held one.
+    def _mined_artifacts(self) -> tuple:
+        """The current relation alignment and both ¬sameAs rule sets."""
+        return (self.relation_alignment, *self.not_same_as_rules)
 
-        Artefacts that were never mined cannot have influenced any cached
-        confidence, so they do not count as changed.  The shared artefacts
-        advance incrementally and hand back the same snapshot while they
-        are unchanged, so this costs the mutated subjects, not a rescan.
+    def _mined_artifacts_changed(self) -> bool:
+        """True when the current artefacts differ from those the cache used.
+
+        The comparison is against the artefacts the cached confidences
+        were resolved with, not the held ones: a property read after a
+        write swaps post-write artefacts in, and comparing those with the
+        current ones would miss the change.  When no cached confidence
+        resolved conflicts, none depends on the artefacts.  The shared
+        artefacts advance incrementally and hand back the same snapshot
+        while they are unchanged, so this costs the mutated subjects, not
+        a rescan.
         """
-        old_alignment = self._relation_alignment
-        old_rules = (self._rules_kg1, self._rules_kg2)
-        self._relation_alignment = None
-        self._rules_kg1 = None
-        self._rules_kg2 = None
-        self._conflict_resolver = None
-        self._mined_token = None
-        changed = False
-        if old_alignment is not None and self.relation_alignment != old_alignment:
-            changed = True
-        if old_rules[0] is not None and self.not_same_as_rules != old_rules:
-            changed = True
-        return changed
+        if self._confidence_artifacts is None:
+            return False
+        return self._mined_artifacts() != self._confidence_artifacts
 
     # ------------------------------------------------------------------
     # Confidence oracle shared by the repair stages
@@ -270,6 +271,8 @@ class EARepairer:
                 if resolve and graph.edges:
                     conflicts = self.conflict_resolver.resolve(graph, self.adg_builder)
                     self._num_relation_conflicts += len(conflicts)
+                    if self._confidence_artifacts is None:
+                        self._confidence_artifacts = self._mined_artifacts()
                 self._confidence_cache[keys[pair]] = (
                     graph.confidence,
                     self._num_relation_conflicts - conflicts_before,
@@ -291,8 +294,9 @@ class EARepairer:
         A model refit drops everything (including the similarity cache).
         A pure KG mutation tries the scoped path: when both graphs'
         mutation logs cover the span *and* the mined reasoning artefacts
-        are unchanged (:meth:`_mined_artifacts_changed` reads the shared,
-        incrementally maintained ones; it does not re-mine), only entries
+        the cache was resolved with are unchanged
+        (:meth:`_mined_artifacts_changed` reads the shared, incrementally
+        maintained ones; it does not re-mine), only entries
         whose pair falls inside the relation-seeded blast radius are
         evicted — confidence depends on the global functionality
         statistics of mutated relations, so the ball is seeded with every
@@ -307,24 +311,24 @@ class EARepairer:
         self._confidence_token = token
         if old is not None and token[2] != old[2]:
             self._similarity_cache.clear()
-        if old is None or not self._confidence_cache:
-            self._confidence_cache.clear()
-            self._ensure_mined_fresh()
-            return
-        if token[2] != old[2]:
-            self._confidence_cache.clear()
+        if old is None or not self._confidence_cache or token[2] != old[2]:
+            self._clear_confidence_cache()
             self._ensure_mined_fresh()
             return
         records1 = self.dataset.kg1.mutations_since(old[0])
         records2 = self.dataset.kg2.mutations_since(old[1])
         if records1 is None or records2 is None or self._mined_artifacts_changed():
-            self._confidence_cache.clear()
+            self._clear_confidence_cache()
             return
         hops = self.config.explanation.max_hops
         blast1 = self.dataset.kg1.blast_radius(records1, hops, include_relations=True)
         blast2 = self.dataset.kg2.blast_radius(records2, hops, include_relations=True)
         for key in [k for k in self._confidence_cache if k[0] in blast1 or k[1] in blast2]:
             del self._confidence_cache[key]
+
+    def _clear_confidence_cache(self) -> None:
+        self._confidence_cache.clear()
+        self._confidence_artifacts = None
 
     def similarity(self, source: str, target: str) -> float:
         """Cached model similarity of a pair (dropped on model refit)."""

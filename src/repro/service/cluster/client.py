@@ -949,13 +949,13 @@ class ClusterClient:
         replicas are reported under ``unreachable`` instead of failing the
         whole snapshot — telemetry must stay readable mid-outage.
         """
-        per_shard_parts: list[list[tuple[dict, list[float]]]] = []
+        per_shard_parts: list[list[dict]] = []
         per_replica: list[list[dict | None]] = []
         pair_counts: list[int] = []
         unreachable: list[str] = []
         slow_requests: list[dict] = []
         for replicas in self.topology.shards:
-            parts: list[tuple[dict, list[float]]] = []
+            parts: list[dict] = []
             rows: list[dict | None] = []
             shard_pairs = 0
             for spec in replicas:
@@ -965,7 +965,7 @@ class ClusterClient:
                     unreachable.append(spec.endpoint)
                     rows.append(None)
                     continue
-                parts.append((payload["counters"], payload["latencies"]))
+                parts.append(payload["counters"])
                 rows.append(payload["snapshot"])
                 shard_pairs = int(payload.get("num_pairs", shard_pairs))
                 slow_requests.extend(payload.get("slow_requests", []))
@@ -973,7 +973,7 @@ class ClusterClient:
             per_replica.append(rows)
             pair_counts.append(shard_pairs)
         shard_submitted = [
-            sum(counters.get("submitted", 0) for counters, _ in parts)
+            sum(counters.get("submitted", 0) for counters in parts)
             for parts in per_shard_parts
         ]
         overall = merge_raw(part for parts in per_shard_parts for part in parts)

@@ -28,9 +28,6 @@ class ServiceConfig:
             result cache (LRU eviction).
         default_deadline_ms: per-request deadline applied when a request
             does not carry its own; ``None`` means no deadline.
-        latency_reservoir: how many of the most recent per-request
-            latencies the stats object retains (ring buffer) for the
-            percentile estimates.
         scheduler: ``"dispatcher"`` (default) runs the central
             cross-worker dispatcher with per-operation batch packing and
             the batched ADG/confidence path; ``"per-worker"`` keeps the
@@ -66,7 +63,6 @@ class ServiceConfig:
     num_workers: int = 2
     cache_capacity: int = 4096
     default_deadline_ms: float | None = None
-    latency_reservoir: int = 100_000
     scheduler: str = "dispatcher"
     num_shards: int = 1
     trace_buffer: int = 2048

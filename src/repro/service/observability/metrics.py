@@ -1,10 +1,10 @@
 """Log-bucketed latency histograms and the Prometheus text exporter.
 
-The flat latency reservoir in :class:`~repro.service.stats.ServiceStats`
-answers "what are p50/p95 right now" but cannot be merged exactly across
-processes and says nothing about *where* time went.  The histograms here
-fix both: every process buckets its per-stage timings into the **same
-fixed doubling bucket ladder** (1 µs … ~1100 s), so merging fleet-wide is
+These histograms are the service's only latency mechanism: the
+``request`` histogram of :class:`~repro.service.stats.ServiceStats`
+yields its ``p50_ms``/``p95_ms``, and the per-stage ones say *where* the
+time went.  Every process buckets its timings into the **same fixed
+doubling bucket ladder** (1 µs … ~1100 s), so merging fleet-wide is
 exact element-wise addition of counts, and quantiles are estimated from
 the merged buckets with bounded relative error (one octave, from the
 doubling base).
@@ -185,7 +185,6 @@ _GAUGE_KEYS = (
     "mean_batch_occupancy",
     "p50_ms",
     "p95_ms",
-    "latency_samples",
     "max_batch_size",
 )
 

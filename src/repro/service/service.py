@@ -191,7 +191,7 @@ class ExplanationService:
             raise ValueError("a dataset is required (none attached to the model)")
         self.config = config or ServiceConfig()
         self.exea_config = exea_config or ExEAConfig()
-        self.stats = ServiceStats(latency_reservoir=self.config.latency_reservoir)
+        self.stats = ServiceStats()
         #: span ring + slow-request log for this service's side of a trace
         self.tracer = ServiceTracer(
             trace_buffer=self.config.trace_buffer,
@@ -369,8 +369,7 @@ class ExplanationService:
             self.stats.record_hit(kind)
             future: Future = Future()
             future.set_result(self._present(kind, value))
-            self.stats.record_completed(0.0)
-            self.stats.record_request(kind, lookup_seconds)
+            self.stats.record_completed(kind, lookup_seconds)
             return future
         deadline_ms = deadline_ms if deadline_ms is not None else self.config.default_deadline_ms
         request = ServiceRequest(
@@ -400,8 +399,7 @@ class ExplanationService:
             return
         now = time.monotonic()
         latency = now - request.enqueued_at
-        self.stats.record_completed(latency)
-        self.stats.record_request(request.kind, latency)
+        self.stats.record_completed(request.kind, latency)
         # Stages and spans are recorded *before* the future resolves so a
         # caller that sees the result and immediately pulls the trace is
         # guaranteed to find the request's stage spans.

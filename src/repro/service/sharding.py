@@ -307,12 +307,12 @@ class ShardedExplanationService:
     def stats_snapshot(self) -> dict:
         """Aggregate + per-shard telemetry.
 
-        ``overall`` merges every shard's counters and pools their latency
-        reservoirs (including the ``shard_imbalance.request_share``
-        summary) and adds a ``shard_imbalance.pair_count`` summary over
-        the partition sizes; ``per_shard`` keeps one full snapshot per
-        shard so imbalanced partitions (hit rate, occupancy, p50/p95
-        skew) stay visible.
+        ``overall`` merges every shard's counters and histograms (so its
+        p50/p95 come from the merged ``request`` histogram), carries the
+        ``shard_imbalance.request_share`` summary and adds a
+        ``shard_imbalance.pair_count`` summary over the partition sizes;
+        ``per_shard`` keeps one full snapshot per shard so imbalanced
+        partitions (hit rate, occupancy, p50/p95 skew) stay visible.
         """
         overall = merge_stats(shard.stats for shard in self.shards)
         pair_counts = self.pairs_per_shard()

@@ -43,7 +43,9 @@ from .framing import (
 #: Protocol revision; bumped on incompatible frame-schema changes so a peer
 #: of another revision is refused at connect time rather than misread.
 #: Revision 2: binary bodies only, a correlation id on every frame.
-PROTOCOL_VERSION = 2
+#: Revision 3: the ``stats`` payload carries counters and histograms only
+#: (no per-request ``latencies`` list).
+PROTOCOL_VERSION = 3
 
 # ----------------------------------------------------------------------
 # Operations

@@ -606,10 +606,8 @@ class ShardServer:
 
     def _stats_payload(self) -> dict:
         """Raw + derived telemetry — the ``--stats-json`` equivalent."""
-        counters, latencies = self.service.stats.raw()
         return {
-            "counters": counters,
-            "latencies": latencies,
+            "counters": self.service.stats.raw(),
             "snapshot": self.service.stats.snapshot(),
             "token": list(self.service.generation_token()),
             "queue_depth": len(self.service.queue),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExEA, ExEAConfig, RepairConfig
+from repro.datasets import SyntheticConfig, generate_dataset
 from repro.core.repair import rules as rules_module
 from repro.core.repair import (
     EARepairer,
@@ -27,6 +28,7 @@ from repro.core.repair import (
 )
 from repro.kg import AlignmentSet, KnowledgeGraph, Triple
 from repro.kg.graph import MUTATION_LOG_CAPACITY
+from repro.models import MTransE, TrainingConfig
 
 
 # ----------------------------------------------------------------------
@@ -465,6 +467,29 @@ class TestRepairPipeline:
         assert repairer.relation_alignment is repairer.relation_alignment
         rules1, rules2 = repairer.not_same_as_rules
         assert (rules1, rules2) == repairer.not_same_as_rules
+
+    @pytest.mark.parametrize(
+        "artifact", ["not_same_as_rules", "relation_alignment", "conflict_resolver"]
+    )
+    def test_reading_artifacts_after_a_rule_changing_write_keeps_no_stale_confidence(
+        self, artifact
+    ):
+        """A property read between a write and the next confidence call
+        must not hide the write's rule change from the cache sync."""
+        dataset = generate_dataset(
+            SyntheticConfig(name="SVC", num_entities=100, avg_degree=4.5, seed=7, train_ratio=0.3)
+        )
+        model = MTransE(TrainingConfig(dim=16, epochs=60, seed=2)).fit(dataset)
+        repairer = EARepairer(model, dataset)
+        reference = model.predict()
+        repairer.confidence_batch(sorted(reference.pairs)[:60], reference)
+        assert len(repairer._confidence_cache) == 60
+        rules_before = not_same_as_rules(dataset.kg1)
+        dataset.kg1.add_triple(("a:bababa_0000", "affiliation", "a:vintirba_0098"))
+        assert not_same_as_rules(dataset.kg1) != rules_before  # the write changes the rules
+        getattr(repairer, artifact)  # e.g. ExEA.build_adg reads the resolver
+        repairer.confidence_batch([], reference)  # syncs the cache to the write
+        assert len(repairer._confidence_cache) == 0
 
 
 # ----------------------------------------------------------------------

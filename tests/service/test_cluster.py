@@ -304,9 +304,16 @@ class TestClusterClientFailover:
         slow.start_in_thread()
         topology = topology_for_endpoints([[fast_address, slow_address]])
         manager = _manual_manager(topology)
+        pairs = predicted_pairs(fitted_model, limit=10)
         try:
+            # Warm the shared cache first: every routed call is then a cache
+            # hit, so the only latency difference between the two replicas
+            # is the injected delay (a cold first batch on the fast replica
+            # could otherwise push its EMA above the slow one's).
+            warm = ExEAClient(service)
+            for pair in pairs:
+                warm.verify(*pair)
             with ClusterClient(topology, manager=manager) as client:
-                pairs = predicted_pairs(fitted_model, limit=10)
                 for _ in range(4):
                     for pair in pairs:
                         client.verify(*pair)

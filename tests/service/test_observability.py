@@ -3,8 +3,10 @@
 Four layers of coverage:
 
 * **Units** — trace-context and span wire round-trips,
-  log-bucketed histogram merge/quantile behaviour, the latency ring's
-  wraparound and percentile edge cases, and heterogeneous-snapshot
+  log-bucketed histogram merge/quantile behaviour (with Hypothesis
+  properties: exact merges, shard-split stats merging to the unsplit
+  figures, quantiles inside the nearest-rank sample's bucket), the
+  histogram-derived p50/p95 edge cases, and heterogeneous-snapshot
   tolerance in ``merge_raw`` (version-skewed peers).
 * **In-process tracing** — a traced request through a real
   `ExplanationService` yields queue/batch/engine spans whose durations
@@ -19,9 +21,12 @@ Four layers of coverage:
 """
 
 import json
+import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     CONFIDENCE,
@@ -144,38 +149,112 @@ class TestHistogram:
 
 
 # ----------------------------------------------------------------------
-# ServiceStats: latency ring + heterogeneous merging
+# Histogram properties: fleet p50/p95 rest on these alone
 # ----------------------------------------------------------------------
-class TestServiceStatsReservoir:
-    def test_ring_wraps_around_keeping_most_recent(self):
-        stats = ServiceStats(latency_reservoir=5)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0):
-            stats.record_completed(value)
-        _, latencies = stats.raw()
-        assert len(latencies) == 5
-        # 6.0 and 7.0 overwrote the oldest slots (1.0, 2.0).
-        assert sorted(latencies) == [3.0, 4.0, 5.0, 6.0, 7.0]
-        assert stats.snapshot()["completed"] == 7
+#: Raw histogram forms as peers ship them: counts lists up to the ladder
+#: length (short ones are older or partial ladders), integral sums so
+#: float addition stays exact in any order.
+raw_histograms = st.builds(
+    lambda counts, total: {"counts": counts, "sum": float(total), "count": sum(counts)},
+    st.lists(st.integers(0, 1000), max_size=len(BUCKET_BOUNDS) + 1),
+    st.integers(0, 10**6),
+)
+#: Dyadic durations (multiples of 2^-20 s up to 4 s): every partial sum is
+#: exact, so "merged equals unsplit" can be asserted bit for bit.
+dyadic_durations = st.lists(st.integers(0, 2**22).map(lambda n: n / 2**20), max_size=60)
 
+
+class TestHistogramProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(raw_histograms, max_size=5))
+    def test_merge_is_exact_elementwise_addition(self, parts):
+        merged = merge_histogram_raw(parts)
+        for index, value in enumerate(merged["counts"]):
+            assert value == sum(p["counts"][index] for p in parts if index < len(p["counts"]))
+        assert merged["count"] == sum(p["count"] for p in parts) == sum(merged["counts"])
+        assert merged["sum"] == sum(p["sum"] for p in parts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_histograms, raw_histograms, raw_histograms)
+    def test_merge_is_commutative_and_associative(self, first, second, third):
+        assert merge_histogram_raw([first, second]) == merge_histogram_raw([second, first])
+        left = merge_histogram_raw([merge_histogram_raw([first, second]), third])
+        right = merge_histogram_raw([first, merge_histogram_raw([second, third])])
+        assert left == right == merge_histogram_raw([first, second, third])
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_durations, st.data())
+    def test_merged_parts_report_what_one_stats_object_would(self, durations, data):
+        whole = ServiceStats()
+        parts = [ServiceStats() for _ in range(data.draw(st.integers(1, 4)))]
+        for seconds in durations:
+            kind = data.draw(st.sampled_from([EXPLAIN, CONFIDENCE]))
+            whole.record_completed(kind, seconds)
+            data.draw(st.sampled_from(parts)).record_completed(kind, seconds)
+        merged = merge_raw(part.raw() for part in parts)
+        alone = whole.snapshot()
+        assert merged["p50_ms"] == alone["p50_ms"]
+        assert merged["p95_ms"] == alone["p95_ms"]
+        assert merged["completed"] == alone["completed"] == len(durations)
+        assert merged["stage_latency_ms"].get("request") == alone["stage_latency_ms"].get("request")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=1, max_size=80),
+        st.floats(0.0, 1.0),
+    )
+    def test_quantile_lies_in_the_nearest_rank_samples_bucket(self, durations, quantile):
+        histogram = Histogram()
+        for seconds in durations:
+            histogram.observe(seconds)
+        rank = max(math.ceil(quantile * len(durations)), 1)
+        sample = sorted(durations)[rank - 1]
+        lower, upper = bucket_bounds_ms(sample)
+        estimate = histogram_quantile(histogram.raw(), quantile) * 1000.0
+        assert lower <= estimate <= upper
+
+
+# ----------------------------------------------------------------------
+# ServiceStats: latency from the request histogram + heterogeneous merging
+# ----------------------------------------------------------------------
+def bucket_bounds_ms(seconds):
+    """``(lower, upper]`` bounds in ms of the ladder bucket holding *seconds*."""
+    index = next(i for i, bound in enumerate(BUCKET_BOUNDS) if seconds <= bound)
+    lower = BUCKET_BOUNDS[index - 1] if index else 0.0
+    return lower * 1000.0, BUCKET_BOUNDS[index] * 1000.0
+
+
+class TestServiceStatsReservoir:
     def test_percentiles_with_zero_and_one_sample(self):
         empty = ServiceStats()
         assert empty.snapshot()["p50_ms"] == 0.0
         assert empty.snapshot()["p95_ms"] == 0.0
         single = ServiceStats()
-        single.record_completed(0.25)
+        single.record_completed(EXPLAIN, 0.25)
         snapshot = single.snapshot()
-        assert snapshot["p50_ms"] == pytest.approx(250.0)
-        assert snapshot["p95_ms"] == pytest.approx(250.0)
-        assert snapshot["latency_samples"] == 1
+        # 0.25 s lands in the (131.072, 262.144] ms bucket of the ladder.
+        lower, upper = bucket_bounds_ms(0.25)
+        assert lower == pytest.approx(131.072) and upper == pytest.approx(262.144)
+        assert lower <= snapshot["p50_ms"] <= upper
+        assert lower <= snapshot["p95_ms"] <= upper
+        assert snapshot["completed"] == 1
+        assert snapshot["stage_latency_ms"]["request"]["count"] == 1
+        assert snapshot["stage_latency_ms"]["request.explain"]["count"] == 1
 
-    def test_percentiles_at_exact_reservoir_boundary(self):
-        stats = ServiceStats(latency_reservoir=100)
-        for index in range(100):  # exactly fills the ring, no wraparound
-            stats.record_completed((index + 1) / 1000.0)
+    def test_percentiles_over_a_hundred_samples_stay_in_their_buckets(self):
+        stats = ServiceStats()
+        for index in range(100):
+            stats.record_completed(EXPLAIN, (index + 1) / 1000.0)
         snapshot = stats.snapshot()
-        assert snapshot["latency_samples"] == 100
-        assert snapshot["p50_ms"] == pytest.approx(51.0)  # nearest rank of 1..100 ms
-        assert snapshot["p95_ms"] == pytest.approx(95.0, abs=2.0)
+        assert snapshot["stage_latency_ms"]["request"]["count"] == 100
+        # Nearest ranks of 1..100 ms are 50 ms and 95 ms.
+        low, high = bucket_bounds_ms(0.050)
+        assert low <= snapshot["p50_ms"] <= high
+        low, high = bucket_bounds_ms(0.095)
+        assert low <= snapshot["p95_ms"] <= high
+        request = stats.raw()["stages"]["request"]
+        assert snapshot["p50_ms"] == histogram_quantile(request, 0.50) * 1000.0
+        assert snapshot["p95_ms"] == histogram_quantile(request, 0.95) * 1000.0
 
     def test_merge_raw_tolerates_version_skewed_parts(self):
         modern = ServiceStats()
@@ -188,22 +267,28 @@ class TestServiceStatsReservoir:
             "stages": {"quantum": {"counts": [1], "sum": 0.1, "count": 1}},
             "novel_counter": 7,
         }
-        merged = merge_raw(
-            [modern.raw(), (legacy_counters, [0.5]), (future_counters, [])]
-        )
+        merged = merge_raw([modern.raw(), legacy_counters, future_counters])
         assert merged["submitted"] == 5
         assert merged["wire"]["bytes_sent"] == 100
         assert merged["novel_counter"] == 7
         assert merged["stage_latency_ms"]["engine"]["count"] == 1
         assert merged["stage_latency_ms"]["quantum"]["count"] == 1
 
-    def test_merge_raw_pools_latency_reservoirs(self):
+    def test_merge_raw_pools_request_histograms(self):
         first, second = ServiceStats(), ServiceStats()
-        first.record_completed(0.010)
-        second.record_completed(0.030)
+        first.record_completed(EXPLAIN, 0.010)
+        second.record_completed(CONFIDENCE, 0.030)
         merged = merge_raw([first.raw(), second.raw()])
-        assert merged["latency_samples"] == 2
-        assert merged["p95_ms"] == pytest.approx(30.0)
+        assert merged["completed"] == 2
+        assert merged["stage_latency_ms"]["request"]["count"] == 2
+        assert merged["stage_latency_ms"]["request.explain"]["count"] == 1
+        assert merged["stage_latency_ms"]["request.confidence"]["count"] == 1
+        pooled = merge_histogram_raw(
+            [first.raw()["stages"]["request"], second.raw()["stages"]["request"]]
+        )
+        assert merged["p95_ms"] == histogram_quantile(pooled, 0.95) * 1000.0
+        low, high = bucket_bounds_ms(0.030)
+        assert low <= merged["p95_ms"] <= high
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +566,7 @@ class TestPrometheusText:
     def test_renders_counters_gauges_and_histograms(self):
         stats = ServiceStats()
         stats.record_submitted()
-        stats.record_completed(0.002)
+        stats.record_completed(EXPLAIN, 0.002)
         stats.record_hit(EXPLAIN)
         stats.record_miss(CONFIDENCE)
         stats.record_stage("engine", 0.002)
@@ -494,13 +579,18 @@ class TestPrometheusText:
         assert 'repro_operation_cache_hits_total{operation="explain"} 1' in text
         assert 'repro_stage_duration_seconds_bucket{le="+Inf",stage="engine"} 1' in text
         assert 'repro_stage_duration_seconds_count{stage="engine"} 1' in text
-        # Cumulative buckets are monotone non-decreasing.
-        cumulative = [
-            int(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("repro_stage_duration_seconds_bucket")
-        ]
-        assert cumulative == sorted(cumulative)
+        # The completion also feeds the request histograms behind p50/p95.
+        assert 'repro_stage_duration_seconds_count{stage="request"} 1' in text
+        assert 'repro_stage_duration_seconds_count{stage="request.explain"} 1' in text
+        # Each stage's cumulative buckets are monotone non-decreasing.
+        for stage in ("engine", "request", "request.explain"):
+            cumulative = [
+                int(line.rsplit(" ", 1)[1])
+                for line in text.splitlines()
+                if line.startswith("repro_stage_duration_seconds_bucket")
+                and f'stage="{stage}"' in line
+            ]
+            assert cumulative and cumulative == sorted(cumulative)
 
     def test_accepts_full_stats_json_shape_with_per_shard_rows(self):
         stats = ServiceStats()

@@ -448,22 +448,32 @@ class TestWireErrors:
             server.stop()
             service.close(drain=False)
 
-    def test_topology_check_refuses_another_protocol_revision(self):
-        def answer_as_revision_one(conn):
+    @staticmethod
+    def _connect_to_revision(revision):
+        def answer_as_revision(conn):
             with conn:
                 while (request := recv_payload(conn)) is not None:
                     request_id, _ = request
-                    send_payload(conn, {"ok": {**identity(), "protocol": 1}}, request_id)
+                    send_payload(conn, {"ok": {**identity(), "protocol": revision}}, request_id)
 
-        peer = FakePeer(answer_as_revision_one)
+        peer = FakePeer(answer_as_revision)
         try:
             with pytest.raises(
                 RemoteTransportError,
-                match=f"speaks protocol 1, this client speaks {PROTOCOL_VERSION}",
+                match=f"speaks protocol {revision}, this client speaks {PROTOCOL_VERSION}",
             ):
                 ClusterClient(topology_for_endpoints([[peer.address]]), timeout=10)
         finally:
             peer.close()
+
+    def test_topology_check_refuses_another_protocol_revision(self):
+        self._connect_to_revision(1)
+
+    def test_topology_check_refuses_a_revision_two_peer(self):
+        """Revision 2 peers still ship a per-request ``latencies`` list in
+        their stats payload; a mixed fleet is refused at connect time."""
+        assert PROTOCOL_VERSION == 3
+        self._connect_to_revision(2)
 
     def test_topology_check_refuses_shards_serving_different_datasets(
         self, fitted_model, service_dataset
